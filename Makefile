@@ -1,13 +1,27 @@
 GO ?= go
 
-# The standard pre-PR gate: vet, build, full tests, and a one-shot
-# benchmark smoke run (catches benchmark-only regressions cheaply).
+# The standard gate before a change lands: formatting, vet, build, full tests, the
+# end-to-end benchmark's self-test, and a one-shot benchmark smoke run
+# (catches benchmark-only regressions cheaply).
 .PHONY: check
-check: vet build test smoke
+check: fmt vet build test perfbench-test smoke
+
+# Fails listing every Go file gofmt would change (the benchmark's build
+# directory is skipped).
+.PHONY: fmt
+fmt:
+	@out=$$(gofmt -l $$(find . -path ./.bench_build -prune -o -name '*.go' -print)); \
+	if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 .PHONY: vet
 vet:
 	$(GO) vet ./...
+
+# perfbench is its own Go module, so ./... above never reaches its
+# self-test (about 5s).
+.PHONY: perfbench-test
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 .PHONY: build
 build:
@@ -56,7 +70,7 @@ bench-smoke:
 # core/mipsx are filtered to the concurrency tests; server runs entirely.
 .PHONY: race
 race:
-	$(GO) test -race -run 'Concurrent|Parallel|Cancel|Deadline|CacheLRU|Prewarm|SharedCache' ./internal/core ./internal/mipsx
+	$(GO) test -race -run 'Concurrent|Parallel|Cancel|Deadline|CacheLRU|Prewarm|SharedCache|Panic' ./internal/core ./internal/mipsx
 	$(GO) test -race ./internal/server
 
 # Short-budget coverage-guided fuzzing over every fuzz target: the

@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/mipsx"
 	"repro/internal/programs"
 	"repro/internal/tags"
 )
@@ -168,5 +170,66 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 	if got := r.Metrics.Snapshot().Counters["runs_total"]; got != 4 {
 		t.Errorf("runs_total = %d, want 4 (evicted pair re-simulated)", got)
+	}
+}
+
+// A panic in an uncached run (here from the Observe hook) must release
+// its flight: the leader gets a *PanicError naming the run, a waiter on
+// the same key gets the error instead of blocking until its deadline,
+// and the next request for the key runs again.
+func TestRunPanicReleasesFlight(t *testing.T) {
+	r := NewRunner()
+	p := programs.MustByName("comp")
+	cfg := Baseline(false)
+
+	entered, release := make(chan struct{}), make(chan struct{})
+	var calls atomic.Int32
+	r.Observe = func(*programs.Program, Config) mipsx.Observer {
+		if calls.Add(1) == 1 {
+			close(entered)
+			<-release
+		}
+		panic("observer exploded")
+	}
+	lead := make(chan error, 1)
+	go func() {
+		_, err := r.RunEngineCtx(context.Background(), p, cfg, mipsx.EngineNative)
+		lead <- err
+	}()
+	<-entered
+	wait := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_, err := r.RunCtx(ctx, p, cfg)
+		wait <- err
+	}()
+	time.Sleep(20 * time.Millisecond) // let the waiter join the flight
+	close(release)
+
+	var pe *PanicError
+	if err := <-lead; !errors.As(err, &pe) {
+		t.Fatalf("leader got %v, want a *PanicError", err)
+	}
+	if pe.Program != p.Name || pe.Config != cfg.Key() || pe.Engine != mipsx.EngineNative ||
+		pe.Value != "observer exploded" || len(pe.Stack) == 0 {
+		t.Errorf("PanicError does not name the run: %+v", pe)
+	}
+	if err := <-wait; !errors.As(err, &pe) {
+		t.Fatalf("waiter got %v, want a *PanicError", err)
+	}
+	r.mu.Lock()
+	inflight := len(r.inflight)
+	r.mu.Unlock()
+	if inflight != 0 || r.CacheLen() != 0 {
+		t.Fatalf("after the panic: %d flights open, %d results cached, want 0 and 0", inflight, r.CacheLen())
+	}
+
+	r.Observe = nil
+	if _, err := r.Run(p, cfg); err != nil {
+		t.Fatalf("run after the panic: %v", err)
+	}
+	if got := r.Metrics.Snapshot().Counters["runs_total"]; got != 1 {
+		t.Errorf("runs_total = %d, want 1 (the key ran again)", got)
 	}
 }

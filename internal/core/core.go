@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -84,6 +85,11 @@ type Result struct {
 	// carved out of execute, and stats-flush. Cached replays return the
 	// original run's phases.
 	Phases []obs.Span
+
+	// reply is the encoded RunReport served for this result, built on
+	// first use by ReportJSON; callers that never serve it never pay.
+	replyOnce sync.Once
+	reply     []byte
 }
 
 // Runner executes and memoizes benchmark runs. Safe for concurrent use:
@@ -233,7 +239,7 @@ func (r *Runner) RunEngineCtx(ctx context.Context, p *programs.Program, cfg Conf
 		if res, ok := r.cacheGet(key); ok {
 			r.mu.Unlock()
 			r.Metrics.Add("run_cache_hits_total", 1)
-			r.observeRunLatency("hit", start)
+			r.observeRunLatency(runLatencyHit, start)
 			return res, nil
 		}
 		if f, ok := r.inflight[key]; ok {
@@ -245,7 +251,7 @@ func (r *Runner) RunEngineCtx(ctx context.Context, p *programs.Program, cfg Conf
 			}
 			if f.err == nil {
 				r.Metrics.Add("run_cache_hits_total", 1)
-				r.observeRunLatency("hit", start)
+				r.observeRunLatency(runLatencyHit, start)
 				return f.res, nil
 			}
 			if isCancellation(f.err) {
@@ -258,7 +264,28 @@ func (r *Runner) RunEngineCtx(ctx context.Context, p *programs.Program, cfg Conf
 		r.mu.Unlock()
 
 		r.Metrics.Add("run_cache_misses_total", 1)
-		f.res, f.err = r.runUncached(ctx, p, cfg, key, engine)
+		r.lead(ctx, f, p, cfg, key, engine)
+		if f.err == nil {
+			r.observeRunLatency(runLatencyMiss, start)
+		}
+		return f.res, f.err
+	}
+}
+
+// lead executes the uncached run a flight stands for and releases the
+// flight on every path: the result is cached on success, the in-flight
+// entry is removed and the waiters are woken even when the run panics. A
+// panic becomes a *PanicError for the leader and every waiter; it is not
+// cached, so the next request for the key runs again.
+func (r *Runner) lead(ctx context.Context, f *flight, p *programs.Program, cfg Config, key string, engine mipsx.Engine) {
+	defer func() {
+		if v := recover(); v != nil {
+			f.res, f.err = nil, &PanicError{
+				Program: p.Name, Config: cfg.Key(), Engine: engine,
+				Value: v, Stack: debug.Stack(),
+			}
+			r.Metrics.Add("run_errors_total", 1)
+		}
 		r.mu.Lock()
 		delete(r.inflight, key)
 		if f.err == nil {
@@ -266,20 +293,38 @@ func (r *Runner) RunEngineCtx(ctx context.Context, p *programs.Program, cfg Conf
 		}
 		r.mu.Unlock()
 		close(f.done)
-		if f.err == nil {
-			r.observeRunLatency("miss", start)
-		}
-		return f.res, f.err
-	}
+	}()
+	f.res, f.err = r.runUncached(ctx, p, cfg, key, engine)
 }
+
+// PanicError is the error of a run whose build or simulation panicked. It
+// names the run — program, configuration key and requested engine — so
+// the failure can be replayed, and keeps the panic value and stack.
+type PanicError struct {
+	Program string
+	Config  string // Config.Key of the run
+	Engine  mipsx.Engine
+	Value   any
+	Stack   []byte
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("%s/%s: internal error: %s run panicked: %v", e.Program, e.Config, e.Engine, e.Value)
+}
+
+// Run-latency series keys, rendered once: the cache outcomes are a closed
+// set, so a hit never formats a label.
+var (
+	runLatencyHit  = obs.Labeled("run_latency_seconds", "cache", "hit")
+	runLatencyMiss = obs.Labeled("run_latency_seconds", "cache", "miss")
+)
 
 // observeRunLatency splits end-to-end run latency by cache outcome: hits
 // (including waits on an in-flight leader) answer in microseconds while
 // misses pay compile plus simulate, so folding them into one series
 // would crush both distributions.
-func (r *Runner) observeRunLatency(cache string, start time.Time) {
-	r.Metrics.ObserveBounds(obs.Labeled("run_latency_seconds", "cache", cache),
-		obs.LatencyBounds, time.Since(start).Seconds())
+func (r *Runner) observeRunLatency(series string, start time.Time) {
+	r.Metrics.ObserveBounds(series, obs.LatencyBounds, time.Since(start).Seconds())
 }
 
 // isCancellation reports whether err stems from a canceled or expired
@@ -356,6 +401,11 @@ func (r *Runner) runUncached(ctx context.Context, p *programs.Program, cfg Confi
 	execStart := time.Now()
 	runErr := m.RunEngine(engine)
 	tl.Record(obs.PhaseExecute, execStart, time.Since(execStart))
+	// The requested engine may have delegated (a Ctx or Observer sends
+	// translated and native runs to the fused loop); count and label the
+	// run by the engine that executed it.
+	ran := m.Ran.String()
+	r.Metrics.Add(obs.Labeled("runs_engine_ran_total", "requested", engine.String(), "ran", ran), 1)
 	jt1, jn1 := img.Prog.JITTimes()
 	if d := jt1 - jt0; d > 0 {
 		tl.Record(obs.PhaseTranslate, execStart, d)
@@ -393,7 +443,7 @@ func (r *Runner) runUncached(ctx context.Context, p *programs.Program, cfg Confi
 	res.Phases = tl.Spans()
 	for _, s := range res.Phases {
 		r.Metrics.ObserveBounds(
-			obs.Labeled("run_phase_seconds", "engine", engine.String(), "phase", s.Phase),
+			obs.Labeled("run_phase_seconds", "engine", ran, "phase", s.Phase),
 			obs.LatencyBounds, s.DurUS/1e6)
 	}
 	return res, nil

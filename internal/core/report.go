@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -118,6 +120,24 @@ func NewRunReport(p *programs.Program, cfg Config, res *Result) *RunReport {
 		}
 	}
 	return rep
+}
+
+// ReportJSON returns NewRunReport(p, res.Config, res) encoded as indented
+// JSON with a trailing newline: the body tagsimd answers POST /v1/run
+// with. The bytes are encoded on the first call and every later call
+// returns the same slice, so serving a cached result writes stored bytes
+// instead of rebuilding and re-encoding the report; callers must not
+// modify it. Every program that shares res's cache key has the same name
+// and description, so whichever p fills the encoding fills it correctly.
+func (res *Result) ReportJSON(p *programs.Program) []byte {
+	res.replyOnce.Do(func() {
+		var buf bytes.Buffer
+		enc := json.NewEncoder(&buf)
+		enc.SetIndent("", "  ")
+		enc.Encode(NewRunReport(p, res.Config, res)) //nolint:errcheck // a RunReport always encodes
+		res.reply = buf.Bytes()
+	})
+	return res.reply
 }
 
 // String renders the report as the tagsim default text output.

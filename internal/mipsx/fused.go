@@ -27,6 +27,7 @@ const pendIdle = -1 << 40
 // than after every instruction, so a runaway run can overshoot the limit
 // by one straight-line run of code before faulting.
 func (m *Machine) Run() error {
+	m.Ran = EngineFused
 	dec := m.Prog.predecode()
 	r := &m.Regs
 	mem := m.Mem

@@ -41,6 +41,7 @@ func (m *Machine) RunNative() error {
 		m.Native.Fallbacks++
 		return m.RunTranslated()
 	}
+	m.Ran = EngineNative
 	sp := &np.spec
 	dec := p.dec
 	mem := m.Mem

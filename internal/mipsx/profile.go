@@ -126,6 +126,7 @@ func (p *Profile) Format(n int, total uint64) string {
 
 // RunProfiled is Run with per-region cycle attribution into prof.
 func (m *Machine) RunProfiled(prof *Profile) error {
+	m.Ran = EngineReference
 	for !m.halted {
 		pc := m.PC
 		before := m.Stats.Cycles

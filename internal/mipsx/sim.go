@@ -123,6 +123,11 @@ type Machine struct {
 	// observer never changes architectural state or Stats.
 	Obs Observer
 
+	// Ran is the engine that executed the last Run* call on this machine.
+	// It differs from the engine asked for when the translated or native
+	// engine delegated (see RunEngine), so telemetry reports what ran.
+	Ran Engine
+
 	halted bool
 	// branch pipeline state
 	pendTarget int // -1 when no jump pending
@@ -228,6 +233,7 @@ func (m *Machine) tagOf(v uint32) uint8 {
 // anything that needs per-instruction observation (the tracer, profiling)
 // builds on the same Step path.
 func (m *Machine) RunReference() error {
+	m.Ran = EngineReference
 	var nextCancel uint64
 	for !m.halted {
 		if m.Ctx != nil && m.Stats.Cycles >= nextCancel {

@@ -53,6 +53,7 @@ func (m *Machine) RunTranslated() error {
 		m.Trans.Fallbacks++
 		return m.Run()
 	}
+	m.Ran = EngineTranslated
 	p := m.Prog
 	p.initTranslation()
 	dec := p.dec

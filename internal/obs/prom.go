@@ -42,7 +42,8 @@ var slashLabels = map[string][]string{
 // Labeled("run_phase_seconds", "engine", "native", "phase", "execute")
 // yields `run_phase_seconds{engine="native",phase="execute"}`. Label
 // order is the argument order; callers keep it stable so one label set
-// maps to one key.
+// maps to one key. Rendering allocates, so a series observed on a hot
+// path over a closed label set should keep its rendered key.
 func Labeled(base string, kv ...string) string {
 	var b strings.Builder
 	b.WriteString(base)
@@ -51,7 +52,9 @@ func Labeled(base string, kv ...string) string {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(&b, "%s=%q", kv[i], escapeLabelValue(kv[i+1]))
+		b.WriteString(kv[i])
+		b.WriteByte('=')
+		b.WriteString(strconv.Quote(escapeLabelValue(kv[i+1])))
 	}
 	b.WriteByte('}')
 	return b.String()

@@ -88,8 +88,8 @@ type famEnum struct {
 	quota int // global spec count this family may fill up to
 	fam   Family
 
-	top  uint8
-	cur  tags.Spec
+	top uint8
+	cur tags.Spec
 	// maskCands is the surviving (mask, value) candidate set for the
 	// listmask property, filtered as tags are assigned; nil when the
 	// property is off or not yet initializable.

@@ -26,8 +26,8 @@ import (
 // returns nil when sp satisfies the property and a counterexample-bearing
 // error when it does not.
 type Property struct {
-	Name string
-	Desc string
+	Name  string
+	Desc  string
 	Check func(sp tags.Spec) error
 }
 

@@ -93,8 +93,8 @@ type Progress struct {
 // ConfigCycles is one scheme's score on one variant: total cycles over
 // the swept programs with the per-category breakdown.
 type ConfigCycles struct {
-	Config     string       `json:"config"`
-	Cycles     uint64       `json:"cycles"`
+	Config     string           `json:"config"`
+	Cycles     uint64           `json:"cycles"`
 	Categories []core.CatCycles `json:"categories,omitempty"`
 }
 

@@ -135,6 +135,14 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc.Encode(v) //nolint:errcheck // the client is gone if this fails
 }
 
+// writeEncoded writes an already encoded JSON body, as writeJSON would
+// have encoded it.
+func writeEncoded(w http.ResponseWriter, status int, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	w.Write(body) //nolint:errcheck // the client is gone if this fails
+}
+
 // decodeBody strictly decodes a JSON request body into v.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
@@ -161,12 +169,17 @@ func (s *Server) requestCtx(r *http.Request, timeoutMS int) (context.Context, co
 }
 
 // runStatus maps a simulation error to an HTTP status: cancellation and
-// deadline become 504 (the simulation was stopped, not wrong), everything
+// deadline become 504 (the simulation was stopped, not wrong), a panic in
+// the build or the engine is a 500 (the service is at fault), everything
 // else — build failures, faults, Lisp runtime errors — is a 422 since the
 // request was well-formed but the simulated machine rejected it.
 func runStatus(err error) int {
-	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
+	var pe *core.PanicError
+	switch {
+	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
 		return http.StatusGatewayTimeout
+	case errors.As(err, &pe):
+		return http.StatusInternalServerError
 	}
 	return http.StatusUnprocessableEntity
 }
@@ -213,10 +226,15 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	s.noteRunLatency(time.Since(runStart))
 	s.releaseSlot()
 	if err != nil {
+		var pe *core.PanicError
+		if errors.As(err, &pe) {
+			s.log.Error("run panicked", "request_id", RequestID(r.Context()),
+				"error", err, "stack", string(pe.Stack))
+		}
 		writeError(w, runStatus(err), "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, core.NewRunReport(p, req.Config.Config, res))
+	writeEncoded(w, http.StatusOK, res.ReportJSON(p))
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {

@@ -34,7 +34,6 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"io"
 	"log/slog"
 	"math"
 	"net/http"
@@ -86,6 +85,9 @@ type Server struct {
 	admitted chan struct{} // admission slots: MaxConcurrent+MaxQueue tokens
 	draining atomic.Bool
 	inflight atomic.Int64
+	// routes holds the per-route metric keys of every registered route,
+	// keyed by its "METHOD /path" pattern.
+	routes map[string]*routeKeys
 
 	// Observed simulation latency, feeding the Retry-After hint on 429:
 	// cumulative nanoseconds and run count of completed RunEngineCtx calls.
@@ -118,7 +120,7 @@ func New(o Options) *Server {
 		o.Runner.CacheCap = o.CacheCap
 	}
 	if o.Log == nil {
-		o.Log = slog.New(slog.NewTextHandler(io.Discard, nil))
+		o.Log = slog.New(discardHandler{})
 	}
 	s := &Server{
 		opts:     o,
@@ -128,15 +130,24 @@ func New(o Options) *Server {
 		mux:      http.NewServeMux(),
 		sem:      make(chan struct{}, o.MaxConcurrent),
 		admitted: make(chan struct{}, o.MaxConcurrent+o.MaxQueue),
+		routes:   make(map[string]*routeKeys),
 	}
-	s.mux.HandleFunc("GET /v1/programs", s.handlePrograms)
-	s.mux.HandleFunc("GET /v1/configs", s.handleConfigs)
-	s.mux.HandleFunc("GET /v1/introspect", s.handleIntrospect)
-	s.mux.HandleFunc("POST /v1/run", s.handleRun)
-	s.mux.HandleFunc("POST /v1/sweep", s.handleSweep)
-	s.mux.HandleFunc("POST /v1/search", s.handleSearch)
-	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
+	for _, rt := range []struct {
+		pattern string
+		handler http.HandlerFunc
+	}{
+		{"GET /v1/programs", s.handlePrograms},
+		{"GET /v1/configs", s.handleConfigs},
+		{"GET /v1/introspect", s.handleIntrospect},
+		{"POST /v1/run", s.handleRun},
+		{"POST /v1/sweep", s.handleSweep},
+		{"POST /v1/search", s.handleSearch},
+		{"GET /healthz", s.handleHealthz},
+		{"GET /metrics", s.handleMetrics},
+	} {
+		s.mux.HandleFunc(rt.pattern, rt.handler)
+		s.routes[rt.pattern] = newRouteKeys(rt.pattern)
+	}
 	return s
 }
 
@@ -203,16 +214,48 @@ func requestID(r *http.Request) string {
 	return hex.EncodeToString(b[:])
 }
 
-// routeOf normalizes a request to a bounded label for per-route metrics.
-// Unknown paths collapse into "other" so a scanner cannot mint unbounded
-// label values.
-func routeOf(r *http.Request) string {
-	switch r.URL.Path {
-	case "/v1/run", "/v1/sweep", "/v1/search", "/v1/programs", "/v1/configs",
-		"/v1/introspect", "/healthz", "/metrics":
-		return r.Method + " " + r.URL.Path
+// routeKeys are the metric keys of one route label, rendered once so a
+// request never formats a series name.
+type routeKeys struct {
+	requests string // http_requests_total/<route>
+	seconds  string // http_request_seconds{route="<route>"}
+}
+
+func newRouteKeys(route string) *routeKeys {
+	return &routeKeys{
+		requests: "http_requests_total/" + route,
+		seconds:  obs.Labeled("http_request_seconds", "route", route),
 	}
-	return "other"
+}
+
+// otherRoute labels every request that matches no registered route, so a
+// scanner cannot mint unbounded label values.
+var otherRoute = newRouteKeys("other")
+
+// routeOf returns the metric keys for a request: its registered route's,
+// or otherRoute's. The route labels are the closed set of patterns New
+// registers.
+func (s *Server) routeOf(r *http.Request) *routeKeys {
+	if k, ok := s.routes[r.Method+" "+r.URL.Path]; ok {
+		return k
+	}
+	return otherRoute
+}
+
+// responseKeys holds the http_responses_total/<code> key of every status
+// code net/http accepts, rendered once.
+var responseKeys = func() (k [600]string) {
+	for code := 100; code < len(k); code++ {
+		k[code] = "http_responses_total/" + strconv.Itoa(code)
+	}
+	return k
+}()
+
+func responsesKey(code int) string {
+	if code >= 100 && code < len(responseKeys) {
+		return responseKeys[code]
+	}
+	return "http_responses_total/" + strconv.Itoa(code)
 }
 
 // ServeHTTP dispatches with request-ID propagation, request logging and
@@ -228,22 +271,30 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.inflight.Add(-1)
 
 	dur := time.Since(start)
-	route := routeOf(r)
+	route := s.routeOf(r)
 	s.reg.Add("http_requests_total", 1)
-	s.reg.Add("http_requests_total/"+r.Method+" "+r.URL.Path, 1)
-	s.reg.Add("http_responses_total/"+strconv.Itoa(sw.status), 1)
-	s.reg.Observe("http_request_us", float64(dur.Microseconds()))
-	s.reg.ObserveBounds(obs.Labeled("http_request_seconds", "route", route),
-		obs.LatencyBounds, dur.Seconds())
-	s.log.Info("request",
-		"method", r.Method,
-		"path", r.URL.Path,
-		"status", sw.status,
-		"dur_ms", float64(dur.Microseconds())/1e3,
-		"remote", r.RemoteAddr,
-		"request_id", rid,
+	s.reg.Add(route.requests, 1)
+	s.reg.Add(responsesKey(sw.status), 1)
+	s.reg.ObserveBounds(route.seconds, obs.LatencyBounds, dur.Seconds())
+	s.log.LogAttrs(r.Context(), slog.LevelInfo, "request",
+		slog.String("method", r.Method),
+		slog.String("path", r.URL.Path),
+		slog.Int("status", sw.status),
+		slog.Float64("dur_ms", float64(dur.Microseconds())/1e3),
+		slog.String("remote", r.RemoteAddr),
+		slog.String("request_id", rid),
 	)
 }
+
+// discardHandler is the request log of a server built without one. It
+// reports every level disabled, so no request line is formatted only to
+// be thrown away.
+type discardHandler struct{}
+
+func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
+func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
+func (h discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return h }
+func (h discardHandler) WithGroup(string) slog.Handler           { return h }
 
 // retryAfter estimates how long a refused client should back off: the
 // current admission backlog divided by the service rate the observed mean

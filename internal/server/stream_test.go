@@ -264,7 +264,9 @@ func TestMetricsContentNegotiation(t *testing.T) {
 		for _, want := range []string{
 			"# TYPE runs_total counter",
 			"run_phase_seconds_bucket{",
-			`run_phase_seconds_bucket{engine="native",phase="execute",le="+Inf"}`,
+			// Phases carry the engine that ran: a service request has a
+			// deadline, so the native request above ran on fused.
+			`run_phase_seconds_bucket{engine="fused",phase="execute",le="+Inf"}`,
 			"http_request_seconds_bucket{",
 			"run_latency_seconds_bucket{",
 		} {

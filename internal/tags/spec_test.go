@@ -46,15 +46,15 @@ func TestSpecValidate(t *testing.T) {
 		{"xh3:1.2.3.4.5.6.7", "widths 4..6"},
 		{"xh7:1.2.3.4.5.6.7", "widths 4..6"},
 		{"xl4:1.2.5.6.3.0.15", "widths 2..3"},
-		{"xh5:1.2.3.4.5.6.31", "integer tags"},      // header collides with negInt
-		{"xh5:1.1.3.4.5.6.7", "share tag"},          // high needs distinct tags
-		{"xl3:1.2.4.6.3.0.7", "zero stored bits"},   // tag 4 stores 00
-		{"xl3:1.1.5.6.3.0.7", "pair"},               // symbol shares pair's tag
-		{"xl3:1.2.5.6.3.1.7", "integer tag 0"},      // code must look like a fixnum
-		{"xl3:1.2.5.6.3.0.5", "all-ones"},           // header must be 7
-		{"xl3:1.2.5.6.7.0.7", "collides"},           // float on the header pattern
-		{"xl3:5.1.2.3.6.0.7", "alignment bit"},      // pair cannot use the odd-word trick
-		{"xl3:6.1.2.3.5.0.7", "alignment bit"},      // (cons never pads to an odd word)
+		{"xh5:1.2.3.4.5.6.31", "integer tags"},    // header collides with negInt
+		{"xh5:1.1.3.4.5.6.7", "share tag"},        // high needs distinct tags
+		{"xl3:1.2.4.6.3.0.7", "zero stored bits"}, // tag 4 stores 00
+		{"xl3:1.1.5.6.3.0.7", "pair"},             // symbol shares pair's tag
+		{"xl3:1.2.5.6.3.1.7", "integer tag 0"},    // code must look like a fixnum
+		{"xl3:1.2.5.6.3.0.5", "all-ones"},         // header must be 7
+		{"xl3:1.2.5.6.7.0.7", "collides"},         // float on the header pattern
+		{"xl3:5.1.2.3.6.0.7", "alignment bit"},    // pair cannot use the odd-word trick
+		{"xl3:6.1.2.3.5.0.7", "alignment bit"},    // (cons never pads to an odd word)
 	}
 	for _, c := range cases {
 		_, err := ParseSpecName(c.name)
@@ -193,9 +193,9 @@ func TestHeapTestPlan(t *testing.T) {
 		{"xh5:1.2.3.4.5.6.7", "range"},
 		{"xh6:8.9.10.11.12.13.24", "range"},
 		{"xh5:1.2.3.4.6.5.7", "chain:pair,symbol,vector,string,float"}, // code tag 5 splits the span
-		{"xl3:1.2.5.6.3.0.7", "nonzero"},    // float stores 11
-		{"xl2:1.2.2.2.2.0.3", "nonzero-x3"}, // 11 only on headers
-		{"xl3:1.2.5.6.2.0.7", "nonzero-x3"}, // no heap type stores 11
+		{"xl3:1.2.5.6.3.0.7", "nonzero"},                               // float stores 11
+		{"xl2:1.2.2.2.2.0.3", "nonzero-x3"},                            // 11 only on headers
+		{"xl3:1.2.5.6.2.0.7", "nonzero-x3"},                            // no heap type stores 11
 	}
 	for _, c := range cases {
 		sp, err := ParseSpecName(c.name)

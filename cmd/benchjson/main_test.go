@@ -33,7 +33,7 @@ PASS
 	}
 	// The prefix selects one engine's lines out of a BenchmarkEngine pass.
 	engineOut := []byte(`BenchmarkEngine/translated/boyer-8  1  100 ns/op  20.00 Minstr/s
-BenchmarkEngine/fused/boyer-8       1  150 ns/op  13.00 Minstr/s
+BenchmarkEngine/reference/boyer-8   1  250 ns/op   8.00 Minstr/s
 PASS
 `)
 	tr, err := parseBench(engineOut, "BenchmarkEngine/translated/")
@@ -49,7 +49,7 @@ PASS
 // long-lived artifacts, so key renames are breaking changes.
 func TestDocSchema(t *testing.T) {
 	doc := Doc{Schema: "tagsim-bench/v1", Engines: []Engine{
-		{Name: "fused", Programs: []Program{{Name: "boyer"}}},
+		{Name: "translated", Programs: []Program{{Name: "boyer"}}},
 	}}
 	b, err := json.Marshal(doc)
 	if err != nil {

@@ -396,14 +396,14 @@ func (r *Runner) runUncached(ctx context.Context, p *programs.Program, cfg Confi
 	if r.Observe != nil {
 		m.Obs = r.Observe(p, cfg)
 	}
-	r.Metrics.Add("runs_engine_total/"+engine.String(), 1)
+	r.Metrics.Add(obs.Labeled("runs_engine_total", "engine", engine.String()), 1)
 	jt0, jn0 := img.Prog.JITTimes()
 	execStart := time.Now()
 	runErr := m.RunEngine(engine)
 	tl.Record(obs.PhaseExecute, execStart, time.Since(execStart))
-	// The requested engine may have delegated (a Ctx or Observer sends
-	// translated and native runs to the fused loop); count and label the
-	// run by the engine that executed it.
+	// The requested engine may have delegated (a Ctx sends native runs to
+	// the translated engine, an Observer sends every run to the reference
+	// engine); count and label the run by the engine that executed it.
 	ran := m.Ran.String()
 	r.Metrics.Add(obs.Labeled("runs_engine_ran_total", "requested", engine.String(), "ran", ran), 1)
 	jt1, jn1 := img.Prog.JITTimes()

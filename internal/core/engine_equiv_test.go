@@ -12,10 +12,10 @@ import (
 
 // TestEngineEquivalence is the differential harness for the optimized
 // execution engines: every program under the baseline configurations and
-// every Table 2 hardware row runs on the translated engine, the fused
-// loop, the native closure-threaded engine, and the single-step reference
-// path, and everything observable — statistics, registers, memory, output,
-// and the decoded result — must be identical across all four. An engine is
+// every Table 2 hardware row runs on the translated engine, the native
+// closure-threaded engine, and the single-step reference path, and
+// everything observable — statistics, registers, memory, output, and the
+// decoded result — must be identical across all three. An engine is
 // only a valid optimization if it does not change a single reproduced
 // number.
 func TestEngineEquivalence(t *testing.T) {
@@ -69,7 +69,7 @@ func TestEngineEquivalence(t *testing.T) {
 					t.Errorf("%s: result %s, want %s", cfg, refValue, p.Expected)
 				}
 
-				for _, engine := range []mipsx.Engine{mipsx.EngineTranslated, mipsx.EngineFused, mipsx.EngineNative} {
+				for _, engine := range []mipsx.Engine{mipsx.EngineTranslated, mipsx.EngineNative} {
 					m := img.NewMachine()
 					m.MaxCycles = 2_000_000_000
 					if err := m.RunEngine(engine); err != nil {
@@ -100,7 +100,7 @@ func TestEngineEquivalence(t *testing.T) {
 						t.Errorf("%s: decoded value diverges: %s %s, ref %s", cfg, engine, value, refValue)
 					}
 					if engine == mipsx.EngineTranslated && m.Trans.Fallbacks != 0 {
-						t.Errorf("%s: translated engine fell back to the fused loop", cfg)
+						t.Errorf("%s: translated engine fell back to the reference engine", cfg)
 					}
 					if engine == mipsx.EngineNative && m.Native.Fallbacks != 0 {
 						t.Errorf("%s: native engine fell back to another engine", cfg)

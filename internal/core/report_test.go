@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/programs"
 )
 
@@ -105,7 +106,7 @@ func TestRunnerMetrics(t *testing.T) {
 	if s.Counters["cycles_total"] != res.Stats.Cycles {
 		t.Errorf("cycles_total = %d, want %d", s.Counters["cycles_total"], res.Stats.Cycles)
 	}
-	key := "cycles_total/" + p.Name + "/" + cfg.String()
+	key := obs.Labeled("cycles_total", "program", p.Name, "config", cfg.String())
 	if s.Counters[key] != res.Stats.Cycles {
 		t.Errorf("per-run counter %q = %d, want %d", key, s.Counters[key], res.Stats.Cycles)
 	}

@@ -2,12 +2,11 @@ package difftest
 
 import "testing"
 
-// TestDataflowInvariant drives the superblock-dataflow metamorphic
-// invariant across the full 40-config implementation spectrum: every
-// scheme×hardware point gets a distinct generated program, and the
-// native engine must match the reference engine bit-for-bit — results
-// and expanded statistics — with elision on, off, refusion off, and the
-// register-caching chains on.
+// TestDataflowInvariant drives the superblock-dataflow invariant across
+// the full 40-config implementation spectrum: every scheme×hardware point
+// gets a distinct generated program, and the native engine, elision and
+// refusion included, must match the reference engine bit-for-bit —
+// results and expanded statistics.
 func TestDataflowInvariant(t *testing.T) {
 	spec := Spectrum()
 	for i, cfg := range spec {
@@ -21,8 +20,8 @@ func TestDataflowInvariant(t *testing.T) {
 // TestDataflowInvariantMemtag runs the same invariant over the 12-config
 // memory-tagging spectrum with torture programs, which actually reach
 // the granule-check fault paths: if the optimizer ever elided a granule
-// check across a store, the planted violation would complete silently
-// under the default setting while the noelide run faults, and the
+// check across a store, the planted violation would complete silently on
+// the native engine while the reference engine faults, and the
 // bit-identity here would break.
 func TestDataflowInvariantMemtag(t *testing.T) {
 	for i, cfg := range MemtagSpectrum() {

@@ -24,15 +24,14 @@ func spinProgram(t *testing.T) *Program {
 	return p
 }
 
+// allEngines lists every engine, for tests that must hold on each. A
+// native run with a Ctx delegates to the translated engine, so its
+// cancellation cases exercise that hand-off.
+var allEngines = []Engine{EngineReference, EngineTranslated, EngineNative}
+
 func TestRunCanceledMidFlight(t *testing.T) {
-	for _, engine := range []struct {
-		name string
-		run  func(m *Machine) error
-	}{
-		{"fused", (*Machine).Run},
-		{"reference", (*Machine).RunReference},
-	} {
-		t.Run(engine.name, func(t *testing.T) {
+	for _, engine := range allEngines {
+		t.Run(engine.String(), func(t *testing.T) {
 			m := NewMachine(spinProgram(t), 64, HWConfig{})
 			ctx, cancel := context.WithCancel(context.Background())
 			m.Ctx = ctx
@@ -41,7 +40,7 @@ func TestRunCanceledMidFlight(t *testing.T) {
 				cancel()
 			}()
 			done := make(chan error, 1)
-			go func() { done <- engine.run(m) }()
+			go func() { done <- m.RunEngine(engine) }()
 			select {
 			case err := <-done:
 				var c *Canceled
@@ -62,38 +61,80 @@ func TestRunCanceledMidFlight(t *testing.T) {
 }
 
 func TestRunDeadlineExceeded(t *testing.T) {
-	m := NewMachine(spinProgram(t), 64, HWConfig{})
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
-	defer cancel()
-	m.Ctx = ctx
-	done := make(chan error, 1)
-	go func() { done <- m.Run() }()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("run returned %v, want context.DeadlineExceeded", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("deadline did not stop the run")
+	for _, engine := range allEngines {
+		t.Run(engine.String(), func(t *testing.T) {
+			m := NewMachine(spinProgram(t), 64, HWConfig{})
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+			defer cancel()
+			m.Ctx = ctx
+			done := make(chan error, 1)
+			go func() { done <- m.RunEngine(engine) }()
+			select {
+			case err := <-done:
+				if !errors.Is(err, context.DeadlineExceeded) {
+					t.Fatalf("run returned %v, want context.DeadlineExceeded", err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("deadline did not stop the run")
+			}
+		})
 	}
 }
 
-// A pre-canceled context must stop the run on the first control transfer,
+// A pre-canceled context must stop the run before its first instruction,
 // and a nil context must leave MaxCycles as the only limit.
 func TestRunPreCanceledAndNilCtx(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	m := NewMachine(spinProgram(t), 64, HWConfig{})
-	m.Ctx = ctx
-	if err := m.Run(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("pre-canceled run returned %v", err)
-	}
+	for _, engine := range allEngines {
+		t.Run(engine.String(), func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			m := NewMachine(spinProgram(t), 64, HWConfig{})
+			m.Ctx = ctx
+			if err := m.RunEngine(engine); !errors.Is(err, context.Canceled) {
+				t.Fatalf("pre-canceled run returned %v", err)
+			}
+			if m.Stats.Cycles != 0 {
+				t.Errorf("pre-canceled run stopped at cycle %d, want 0", m.Stats.Cycles)
+			}
 
-	m = NewMachine(spinProgram(t), 64, HWConfig{})
-	m.MaxCycles = 200_000 // past a cancellation poll boundary
-	err := m.Run()
-	var f *Fault
-	if !errors.As(err, &f) {
-		t.Fatalf("nil-ctx run returned %v, want cycle-limit fault", err)
+			m = NewMachine(spinProgram(t), 64, HWConfig{})
+			m.MaxCycles = 200_000 // past a cancellation poll boundary
+			err := m.RunEngine(engine)
+			var f *Fault
+			if !errors.As(err, &f) {
+				t.Fatalf("nil-ctx run returned %v, want cycle-limit fault", err)
+			}
+		})
+	}
+}
+
+// TestMaxCyclesPerEngine pins where each engine stops a runaway run. The
+// spin loop is jmp, addi (delay slot), nop (delay slot), one cycle each.
+// The reference engine checks the limit after every instruction, so it
+// stops at cycle 1001, after the addi. The block engines check only right
+// after dispatching a control transfer; the jump dispatches at cycles 1,
+// 4, 7, ..., so they stop at 1003 with its delay slots pending (pc 1).
+// Translated and native must agree exactly.
+func TestMaxCyclesPerEngine(t *testing.T) {
+	for _, tc := range []struct {
+		engine Engine
+		err    string
+	}{
+		{EngineReference, "fault at pc=2 cycle=1001: cycle limit 1000 exceeded"},
+		{EngineTranslated, "fault at pc=1 cycle=1003: cycle limit 1000 exceeded"},
+		{EngineNative, "fault at pc=1 cycle=1003: cycle limit 1000 exceeded"},
+	} {
+		m := NewMachine(spinProgram(t), 64, HWConfig{})
+		m.MaxCycles = 1000
+		err := m.RunEngine(tc.engine)
+		var f *Fault
+		if !errors.As(err, &f) || err.Error() != tc.err {
+			t.Errorf("%s: run returned %v, want %s", tc.engine, err, tc.err)
+			continue
+		}
+		if m.Stats.Cycles != f.Cycle || m.PC != f.PC {
+			t.Errorf("%s: machine at pc=%d cycle=%d, fault says pc=%d cycle=%d",
+				tc.engine, m.PC, m.Stats.Cycles, f.PC, f.Cycle)
+		}
 	}
 }

@@ -2,7 +2,7 @@ package mipsx
 
 import "fmt"
 
-// Engine selects one of the four execution engines. The zero value is the
+// Engine selects one of the three execution engines. The zero value is the
 // block-translating engine, making it the default everywhere a caller does
 // not ask for something else.
 type Engine uint8
@@ -11,26 +11,24 @@ const (
 	// EngineTranslated is the basic-block translation engine (translate.go):
 	// the predecoded stream is cut into straight-line blocks, recurring tag
 	// idioms are fused into superinstructions, and translated blocks are
-	// cached and chained. Falls back to the fused loop when an Observer or
-	// Ctx is attached.
+	// cached and chained. Honours Ctx; delegates to the reference engine
+	// when an Observer is attached or the machine stopped mid-pipeline.
 	EngineTranslated Engine = iota
-	// EngineFused is the fused single-dispatch loop (fused.go).
-	EngineFused
 	// EngineReference is the single-step reference engine (sim.go).
 	EngineReference
 	// EngineNative is the closure-threaded engine (native.go): translated
 	// blocks are compiled into chains of Go closures specialized on the
 	// active hardware config, and hot chained-block paths are flattened
-	// into superblocks executed with a single counter increment. Falls
-	// back like the translated engine, and additionally to the translated
-	// engine when the program is already natively compiled for a different
-	// hardware config.
+	// into superblocks executed with a single counter increment. Delegates
+	// to the translated engine when a Ctx is attached or the program is
+	// already natively compiled for a different hardware config, and
+	// through it to the reference engine when an Observer is attached or
+	// the machine stopped mid-pipeline.
 	EngineNative
 )
 
 var engineNames = [...]string{
 	EngineTranslated: "translated",
-	EngineFused:      "fused",
 	EngineReference:  "reference",
 	EngineNative:     "native",
 }
@@ -43,7 +41,7 @@ func (e Engine) String() string {
 }
 
 // EngineNames lists the accepted engine selector spellings.
-var EngineNames = []string{"translated", "fused", "reference", "native"}
+var EngineNames = []string{"translated", "reference", "native"}
 
 // ParseEngine parses an engine selector; the empty string selects the
 // default (translated) engine.
@@ -51,47 +49,42 @@ func ParseEngine(s string) (Engine, error) {
 	switch s {
 	case "", "translated":
 		return EngineTranslated, nil
-	case "fused":
-		return EngineFused, nil
 	case "reference":
 		return EngineReference, nil
 	case "native":
 		return EngineNative, nil
 	}
-	return EngineTranslated, fmt.Errorf("unknown engine %q (want translated, fused, reference or native)", s)
+	return EngineTranslated, fmt.Errorf("unknown engine %q (want translated, reference or native)", s)
 }
 
 // RunEngine executes the program to completion on the selected engine.
-// All four engines produce bit-identical architectural state, statistics
-// and output; they differ only in speed and in observability (the
-// reference engine emits per-instruction events, the fused loop emits
-// control-flow events, the translated and native engines emit none and
-// transparently fall back to the fused loop when an Observer or Ctx is
-// attached).
+// All three engines produce bit-identical architectural state, statistics
+// and output; they differ in speed, in observability (only the reference
+// engine emits events, so an attached Observer routes every run to it) and
+// in where they check MaxCycles (see Run). Machine.Ran records the engine
+// that executed.
 func (m *Machine) RunEngine(e Engine) error {
 	switch e {
-	case EngineFused:
-		return m.Run()
 	case EngineReference:
 		return m.RunReference()
 	case EngineNative:
 		return m.RunNative()
 	default:
-		return m.RunTranslated()
+		return m.Run()
 	}
 }
 
 // TransStats counts what the translated engine did during one Machine's
 // runs: how many blocks this machine translated (first executions of a
 // block populate the program-wide cache), how many block transitions were
-// served by a direct chain pointer, how many RunTranslated calls fell back
-// to the fused loop, and the dispatch-step mix (FusedSteps of Steps were
+// served by a direct chain pointer, how many Run calls fell back to the
+// reference engine, and the dispatch-step mix (FusedSteps of Steps were
 // superinstructions covering two source instructions).
 type TransStats struct {
 	Translated uint64 `json:"translated"`  // blocks translated into the program's cache by this machine
 	BlockRuns  uint64 `json:"block_runs"`  // completed basic-block executions
 	ChainHits  uint64 `json:"chain_hits"`  // block transitions resolved through a chain pointer
-	Fallbacks  uint64 `json:"fallbacks"`   // RunTranslated calls that delegated to the fused loop
+	Fallbacks  uint64 `json:"fallbacks"`   // Run calls that delegated to the reference engine
 	Steps      uint64 `json:"steps"`       // dispatch steps executed in completed block bodies
 	FusedSteps uint64 `json:"fused_steps"` // of those, fused superinstructions (two source instrs)
 }
@@ -129,10 +122,6 @@ type NativeStats struct {
 	// still charge every one of them (block accounting is static), so
 	// this is purely a host-speed counter.
 	ElidedChecks uint64 `json:"elided_checks"`
-	// RegCacheSpills counts register spills at superblock chain exit
-	// sites (register-caching closure chains write their cached
-	// architectural registers back on every exit).
-	RegCacheSpills uint64 `json:"regcache_spills"`
 }
 
 // Accumulate adds o's counters into n.
@@ -148,5 +137,4 @@ func (n *NativeStats) Accumulate(o *NativeStats) {
 	n.Steps += o.Steps
 	n.FusedSteps += o.FusedSteps
 	n.ElidedChecks += o.ElidedChecks
-	n.RegCacheSpills += o.RegCacheSpills
 }

@@ -5,22 +5,22 @@ import (
 	"testing"
 )
 
-// runEngines executes p on all four engines and asserts every observable —
+// runEngines executes p on all three engines and asserts every observable —
 // statistics, registers, PC, memory, output, and any error — is identical.
-// It returns the fused machine for additional assertions.
+// It returns the translated machine for additional assertions.
 func runEngines(t *testing.T, p *Program, memWords int, hw HWConfig) *Machine {
 	t.Helper()
 	ref := NewMachine(p, memWords, hw)
 	ref.MaxCycles = 1_000_000
 	rerr := ref.RunReference()
 
-	var fused *Machine
-	for _, e := range []Engine{EngineFused, EngineTranslated, EngineNative} {
+	var trans *Machine
+	for _, e := range []Engine{EngineTranslated, EngineNative} {
 		m := NewMachine(p, memWords, hw)
 		m.MaxCycles = 1_000_000
 		merr := m.RunEngine(e)
-		if e == EngineFused {
-			fused = m
+		if e == EngineTranslated {
+			trans = m
 		}
 
 		switch {
@@ -48,13 +48,15 @@ func runEngines(t *testing.T, p *Program, memWords int, hw HWConfig) *Machine {
 			}
 		}
 	}
-	return fused
+	return trans
 }
 
-// TestFusedMatchesReference pits the fused loop against the single-step
-// reference on small programs that exercise every special path: interlock
-// stalls, squashing branches, checked loads with and without a handler,
-// arithmetic traps, jumps, syscalls with output, and faults.
+// TestFusedMatchesReference pits the block engines, whose fused
+// superinstructions and static block accounting stand in for single
+// steps, against the single-step reference on small programs that
+// exercise every special path: interlock stalls, squashing branches,
+// checked loads with and without a handler, arithmetic traps, jumps,
+// syscalls with output, and faults.
 func TestFusedMatchesReference(t *testing.T) {
 	tagged := HWConfig{TagShift: 27, TagMask: 31, IsIntItem: isInt27,
 		TrapHandler: -1, CheckFailHandler: -1}
@@ -279,7 +281,7 @@ func TestEngineZeroAlloc(t *testing.T) {
 	}
 	for vname, v := range variants {
 		hw := v.hw
-		for _, engine := range []Engine{EngineFused, EngineTranslated, EngineNative} {
+		for _, engine := range []Engine{EngineTranslated, EngineNative} {
 			t.Run(vname+"/"+engine.String(), func(t *testing.T) {
 				a := NewAsm()
 				main := a.NewLabel("main")

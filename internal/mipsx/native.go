@@ -11,14 +11,14 @@ package mipsx
 // terminator exactly as the translated engine does, sharing its chain
 // pointers, its per-block counters, and its flush expansion. Every rare
 // event (side exits, faults, check failures, arithmetic traps, cycle
-// limits) spills back into the translated engine's accounting so all four
-// engines stay bit-identical in Stats, registers, memory, output and
+// limits) spills back into the translated engine's accounting so all
+// three engines stay bit-identical in Stats, registers, memory, output and
 // faults.
 //
-// Fallbacks mirror the translated engine's: an attached Observer or Ctx,
-// or a machine stopped mid-pipeline, delegates to the fused loop; a
-// program already natively compiled for a different hardware config
-// delegates to the translated engine rather than recompiling.
+// An attached Ctx delegates to the translated engine, which polls it; so
+// does a program already natively compiled for a different hardware
+// config, rather than recompiling. An attached Observer or a machine
+// stopped mid-pipeline delegates through Run to the reference engine.
 
 import (
 	"strconv"
@@ -39,7 +39,7 @@ func (m *Machine) RunNative() error {
 	np := p.nativeFor(&m.HW)
 	if np == nil {
 		m.Native.Fallbacks++
-		return m.RunTranslated()
+		return m.Run()
 	}
 	m.Ran = EngineNative
 	sp := &np.spec
@@ -107,20 +107,7 @@ loop:
 		// path below faults exactly where the translated engine would.
 		if sb := bn.sb.Load(); sb != nil && (maxCycles == 0 || cycles+sb.maxCyc <= maxCycles) {
 			st.exit = nexNone
-			var idx int
-			if ch := sb.chain; ch != nil {
-				// Register-caching chain: the cached registers ride the
-				// call arguments and spill back at every exit.
-				ch(r, mem, st, r[sb.ca], r[sb.cb])
-				m.Native.RegCacheSpills += 2
-				if st.exit == nexNone {
-					idx = -1
-				} else {
-					idx = int(st.sidx)
-				}
-			} else {
-				idx = execSteps(sb.steps, r, mem, sp, st)
-			}
+			idx := execSteps(sb.steps, r, mem, sp, st)
 			if idx < 0 {
 				m.markSBExit(sb, int32(len(sb.elems)))
 				cycles += sb.fullCyc
@@ -256,7 +243,7 @@ loop:
 
 	bodyAbort:
 		// A body step faulted, failed its tag check, or trapped: re-charge
-		// the executed prefix exactly as the fused loop would have, then
+		// the executed prefix exactly as the reference engine would have, then
 		// fault or enter the software handler.
 		cycles = m.accountPrefix(int(b.start), int(st.fpc), cycles)
 		switch st.exit {
@@ -309,7 +296,7 @@ loop:
 		continue loop
 
 	slotFault:
-		// A delay slot faulted: reproduce the fused loop's exact state —
+		// A delay slot faulted: reproduce the reference engine's state —
 		// the branch and every executed slot counted and charged, the
 		// pending-branch pipeline restored. The outcome's static
 		// accounting has not been applied on this path.
@@ -463,9 +450,10 @@ loop:
 					o = &t.taken
 				}
 				if maxCycles != 0 && cycles+o.checkCyc > maxCycles {
-					// Reconstruct the exact machine state the fused loop has
-					// at its limit check: branch dispatched (and NOP slots
-					// consumed), delay slots still pending otherwise.
+					// Reconstruct the machine state at the limit check,
+					// as the translated engine does: branch dispatched (and
+					// NOP slots consumed), delay slots still pending
+					// otherwise.
 					counts[t.pc]++
 					cycles += o.checkCyc
 					if t.slotsNop {

@@ -63,7 +63,8 @@ func buildObserverProg(t *testing.T) (*Program, HWConfig) {
 
 // TestNoopObserverLeavesRunIdentical is the differential guarantee behind
 // the observer hook: attaching an observer must not change a single
-// architectural or statistical bit of a fused-engine run.
+// architectural or statistical bit of a run (the observed run delegates to
+// the reference engine, the bare one runs translated).
 func TestNoopObserverLeavesRunIdentical(t *testing.T) {
 	p, hw := buildObserverProg(t)
 
@@ -103,19 +104,12 @@ func TestNoopObserverLeavesRunIdentical(t *testing.T) {
 	}
 }
 
-// TestEventStreamParity asserts the fused engine's control-flow event
-// stream — kinds, cycle stamps, PCs, targets, arguments — is exactly the
-// reference engine's stream with the per-instruction events removed.
+// TestEventStreamParity asserts that every engine entry point delivers
+// the same event stream — kinds, cycle stamps, PCs, targets, arguments —
+// to an attached observer: the reference engine's, per-instruction events
+// included.
 func TestEventStreamParity(t *testing.T) {
 	p, hw := buildObserverProg(t)
-
-	var fusedLog eventLog
-	fused := NewMachine(p, 1024, hw)
-	fused.MaxCycles = 1_000_000
-	fused.Obs = &fusedLog
-	if err := fused.Run(); err != nil {
-		t.Fatal(err)
-	}
 
 	var refLog eventLog
 	ref := NewMachine(p, 1024, hw)
@@ -124,23 +118,31 @@ func TestEventStreamParity(t *testing.T) {
 	if err := ref.RunReference(); err != nil {
 		t.Fatal(err)
 	}
-
-	var refCtl []Event
+	instrs := 0
 	for _, e := range refLog.events {
-		if e.Kind != EvInstr {
-			refCtl = append(refCtl, e)
+		if e.Kind == EvInstr {
+			instrs++
 		}
 	}
-	if len(refCtl) == len(refLog.events) {
-		t.Error("reference engine emitted no EvInstr events")
+	if instrs == 0 || instrs == len(refLog.events) {
+		t.Fatalf("reference stream has %d EvInstr of %d events, want both kinds", instrs, len(refLog.events))
 	}
-	if len(fusedLog.events) != len(refCtl) {
-		t.Fatalf("event count diverges: fused %d, reference %d (non-instr)",
-			len(fusedLog.events), len(refCtl))
-	}
-	for i := range refCtl {
-		if fusedLog.events[i] != refCtl[i] {
-			t.Errorf("event %d diverges:\nfused: %+v\nref:   %+v", i, fusedLog.events[i], refCtl[i])
+
+	for _, engine := range []Engine{EngineTranslated, EngineNative} {
+		var log eventLog
+		m := NewMachine(p, 1024, hw)
+		m.MaxCycles = 1_000_000
+		m.Obs = &log
+		if err := m.RunEngine(engine); err != nil {
+			t.Fatal(err)
+		}
+		if len(log.events) != len(refLog.events) {
+			t.Fatalf("%s: event count diverges: %d, reference %d", engine, len(log.events), len(refLog.events))
+		}
+		for i := range refLog.events {
+			if log.events[i] != refLog.events[i] {
+				t.Errorf("%s: event %d diverges:\ngot: %+v\nref: %+v", engine, i, log.events[i], refLog.events[i])
+			}
 		}
 	}
 }

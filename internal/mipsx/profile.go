@@ -124,7 +124,7 @@ func (p *Profile) Format(n int, total uint64) string {
 	return sb.String()
 }
 
-// RunProfiled is Run with per-region cycle attribution into prof.
+// RunProfiled is RunReference with per-region cycle attribution into prof.
 func (m *Machine) RunProfiled(prof *Profile) error {
 	m.Ran = EngineReference
 	for !m.halted {

@@ -54,66 +54,6 @@ package mipsx
 // the shared per-block steps the translated engine executes, so the
 // engine being used as the speedup denominator is untouched.
 
-import (
-	"fmt"
-	"strings"
-	"sync/atomic"
-)
-
-// SBOpt toggles individual superblock dataflow passes, for ablation
-// benchmarks and the difftest dataflow-equivalence invariant. Settings
-// affect superblocks formed after the call; build a fresh image (or
-// Program) to measure a setting from a cold start.
-//
-// RegCache is an opt-in, not an opt-out: the register-caching closure
-// chains (sbchain.go) are semantically exact but measurably slower than
-// the switch dispatcher on this host (see the analysis in sbchain.go and
-// the ablation table in EXPERIMENTS.md), so the default build leaves them
-// off and the flag exists to measure them and to prove their
-// bit-identity.
-type SBOpt struct {
-	NoElide  bool // keep every check and redundant op in the stream
-	NoRefuse bool // fuse only within one element, original kinds only
-	RegCache bool // dispatch streams through register-caching closure chains
-}
-
-var sbOptP atomic.Pointer[SBOpt]
-
-// SetSBOpt installs o for subsequently formed superblocks.
-func SetSBOpt(o SBOpt) { sbOptP.Store(&o) }
-
-// CurSBOpt returns the current superblock dataflow settings.
-func CurSBOpt() SBOpt {
-	if p := sbOptP.Load(); p != nil {
-		return *p
-	}
-	return SBOpt{}
-}
-
-// ParseSBOpt parses a comma-separated ablation list ("noelide,norefuse,
-// regcache", empty for the defaults), the spelling the SIM_SBOPT
-// environment variable and the benchmark harnesses use.
-func ParseSBOpt(s string) (SBOpt, error) {
-	var o SBOpt
-	if s == "" {
-		return o, nil
-	}
-	for _, f := range strings.Split(s, ",") {
-		switch strings.TrimSpace(f) {
-		case "":
-		case "noelide":
-			o.NoElide = true
-		case "norefuse":
-			o.NoRefuse = true
-		case "regcache":
-			o.RegCache = true
-		default:
-			return o, fmt.Errorf("unknown superblock ablation %q (want noelide, norefuse or regcache)", f)
-		}
-	}
-	return o, nil
-}
-
 // sbUnit is one stream step during formation, tagged with the element it
 // came from and whether it is a delay-slot step (slots never fuse with
 // body or edge steps, so a slot fault keeps attributing to a slot pc).
@@ -137,16 +77,12 @@ type sbOptResult struct {
 }
 
 // optimizeUnits runs elision, refusion and edge fusion over the stream.
-func optimizeUnits(units []sbUnit, nElems int, sp *nspec, opt SBOpt) sbOptResult {
+func optimizeUnits(units []sbUnit, nElems int, sp *nspec) sbOptResult {
 	res := sbOptResult{rawUnits: int32(len(units))}
 	elided := make([]uint16, nElems)
-	if !opt.NoElide {
-		units = elideUnits(units, sp, elided, &res)
-	}
-	units = refuseUnits(units, !opt.NoRefuse)
-	if !opt.NoRefuse {
-		units = fuseEdgeUnits(units, elided, &res)
-	}
+	units = elideUnits(units, sp, elided, &res)
+	units = refuseUnits(units)
+	units = fuseEdgeUnits(units, elided, &res)
 	units = foldJrSlots(units)
 
 	res.steps = make([]tstep, len(units))
@@ -641,7 +577,7 @@ func unitRunStep(units []sbUnit, i, n int) tstep {
 // Pairs whose executors touch memory in both halves attribute faults to
 // off and off+1, so they require textual adjacency; a pure first half
 // instead repositions off so the faultable second half keeps its exact pc.
-func fuseUnitPair(s1, s2 *tstep, newKinds bool) (tstep, bool) {
+func fuseUnitPair(s1, s2 *tstep) (tstep, bool) {
 	if s1.kind >= uint8(numOps) || s2.kind >= uint8(numOps) {
 		return tstep{}, false
 	}
@@ -658,7 +594,7 @@ func fuseUnitPair(s1, s2 *tstep, newKinds bool) (tstep, bool) {
 		kind = kAndiLd
 	case o1 == ADDI && o2 == LD:
 		kind = kAddiLd
-	case o1 == AND && o2 == LD && newKinds:
+	case o1 == AND && o2 == LD:
 		kind = kAndLd
 	case o1 == LD && o2 == LD:
 		kind = kLdLd
@@ -712,13 +648,11 @@ func fuseUnitPair(s1, s2 *tstep, newKinds bool) (tstep, bool) {
 	}, true
 }
 
-// refuseUnits re-fuses the stream. With cross set, regions of consecutive
-// body units extend across element boundaries and the new pair kinds are
-// allowed; otherwise fusion is element-local with the original table
-// (the no-refusion ablation baseline, matching block-level fusion). Edge
-// units always break regions; delay-slot units form their own regions so
-// a slot never fuses with body or edge steps.
-func refuseUnits(units []sbUnit, cross bool) []sbUnit {
+// refuseUnits re-fuses the stream. Regions of consecutive body units
+// extend across element boundaries and may use the pair kinds block-level
+// fusion lacks. Edge units always break regions; delay-slot units form
+// their own regions so a slot never fuses with body or edge steps.
+func refuseUnits(units []sbUnit) []sbUnit {
 	out := units[:0]
 	for lo := 0; lo < len(units); {
 		u0 := &units[lo]
@@ -727,14 +661,13 @@ func refuseUnits(units []sbUnit, cross bool) []sbUnit {
 			for hi < len(units) {
 				u := &units[hi]
 				if u.s.kind >= uint8(numOps) || u.slot != u0.slot ||
-					(!cross && u.elem != u0.elem) ||
 					(u0.slot && u.elem != u0.elem) {
 					break
 				}
 				hi++
 			}
 		}
-		out = refuseRegion(out, units, lo, hi, cross)
+		out = refuseRegion(out, units, lo, hi)
 		lo = hi
 	}
 	return fuseUnitMovRuns(out)
@@ -742,7 +675,7 @@ func refuseUnits(units []sbUnit, cross bool) []sbUnit {
 
 // refuseRegion greedily packs [lo, hi): save/restore runs first, then
 // pairs, then singles, mirroring fuseSteps.
-func refuseRegion(out, units []sbUnit, lo, hi int, newKinds bool) []sbUnit {
+func refuseRegion(out, units []sbUnit, lo, hi int) []sbUnit {
 	for i := lo; i < hi; {
 		if n := unitRunLen(units, i, hi); n >= 3 {
 			out = append(out, sbUnit{
@@ -752,7 +685,7 @@ func refuseRegion(out, units []sbUnit, lo, hi int, newKinds bool) []sbUnit {
 			continue
 		}
 		if i+1 < hi {
-			if s, ok := fuseUnitPair(&units[i].s, &units[i+1].s, newKinds); ok {
+			if s, ok := fuseUnitPair(&units[i].s, &units[i+1].s); ok {
 				out = append(out, sbUnit{s: s, elem: units[i].elem, slot: units[i].slot})
 				i += 2
 				continue

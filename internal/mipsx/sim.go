@@ -88,10 +88,10 @@ func (c *Canceled) Error() string {
 func (c *Canceled) Unwrap() error { return c.Err }
 
 // cancelCheckCycles is how many simulated cycles may pass between two
-// polls of Machine.Ctx. At the fused engine's throughput (hundreds of
+// polls of Machine.Ctx. At the translated engine's throughput (hundreds of
 // simulated Mcycles per wall second) 64K cycles bounds cancellation
 // latency to well under a millisecond while keeping the poll off the
-// per-control-transfer path.
+// per-block path.
 const cancelCheckCycles = 1 << 16
 
 // Machine executes a Program against a word-addressed memory.
@@ -105,22 +105,25 @@ type Machine struct {
 	Stats  Stats
 	Output bytes.Buffer
 
-	// MaxCycles aborts runaway programs; 0 means no limit.
+	// MaxCycles aborts runaway programs with a "cycle limit N exceeded"
+	// fault; 0 means no limit. The reference engine checks it after every
+	// instruction, the translated and native engines only at control
+	// transfers and trap entries (see Run), so they may stop later.
 	MaxCycles uint64
 
-	// Ctx, when non-nil, makes the run cancelable: both engines poll
-	// Ctx.Err() at control transfers, at most once per cancelCheckCycles
-	// simulated cycles, and abort with a *Canceled error once it is
-	// non-nil. A nil Ctx costs the fused loop one integer compare per
-	// control transfer and nothing on the straight-line path.
+	// Ctx, when non-nil, makes the run cancelable: the translated engine
+	// polls Ctx.Err() at block dispatch and the reference engine before
+	// an instruction, at most once per cancelCheckCycles simulated cycles,
+	// and the run stops with a *Canceled error once it is non-nil (the
+	// native engine delegates to the translated one). A nil Ctx costs the
+	// translated engine one integer compare per block.
 	Ctx context.Context
 
-	// Obs, when non-nil, receives execution events from both engines: the
-	// fused loop emits control-flow events (branches taken, jumps, calls,
-	// returns, traps, syscalls, GC, halt), the reference engine emits those
-	// plus one EvInstr per executed instruction. A nil observer costs the
-	// fused loop nothing on the per-instruction path, and an attached
-	// observer never changes architectural state or Stats.
+	// Obs, when non-nil, receives execution events: control-flow events
+	// (branches taken, jumps, calls, returns, traps, syscalls, GC, halt)
+	// plus one EvInstr per executed instruction. Only the reference engine
+	// emits them, so every engine delegates to it while Obs is set; an
+	// attached observer never changes architectural state or Stats.
 	Obs Observer
 
 	// Ran is the engine that executed the last Run* call on this machine.
@@ -227,11 +230,13 @@ func (m *Machine) tagOf(v uint32) uint8 {
 	return uint8((v >> m.HW.TagShift) & m.HW.TagMask)
 }
 
-// RunReference executes until HALT, a fault, a Lisp runtime error, or
-// MaxCycles, one Step call per instruction. It is the reference engine: the
-// fused loop behind Run is validated against it by differential tests, and
-// anything that needs per-instruction observation (the tracer, profiling)
-// builds on the same Step path.
+// RunReference executes until HALT, a fault, a Lisp runtime error,
+// MaxCycles, or cancellation of Ctx, one Step call per instruction. It is
+// the reference engine: the block engines are validated against it by
+// differential tests, and anything that needs observation (the tracer,
+// profiling) builds on the same Step path. It checks MaxCycles after every
+// instruction, so it stops at the first instruction that leaves
+// Stats.Cycles above the limit.
 func (m *Machine) RunReference() error {
 	m.Ran = EngineReference
 	var nextCancel uint64

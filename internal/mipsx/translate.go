@@ -3,8 +3,8 @@ package mipsx
 // The basic-block translation engine (the execution half; block discovery
 // and translation live in blocks.go).
 //
-// RunTranslated executes translated blocks: one counter increment and two
-// additions charge a whole block body, the step loop dispatches fused
+// Run executes translated blocks: one counter increment and two additions
+// charge a whole block body, the step loop dispatches fused
 // superinstructions, and the terminator resolves the branch, runs both
 // delay slots through the same dispatch loop as block bodies (they are
 // precompiled into dispatch steps at translation time) and follows a chain
@@ -14,18 +14,17 @@ package mipsx
 // past the architectural file, so the dispatch loop never restores the
 // hardwired zero. Per-category, per-opcode and stall statistics are
 // reconstructed on exit from per-block execution counters and the blocks'
-// static accounting, exactly as the fused loop reconstructs them from
-// per-instruction counters — the two engines produce bit-identical Stats,
-// registers, memory, output and faults (PC and cycle included), which the
-// differential tests assert.
+// static accounting — the engine produces Stats, registers, memory, output
+// and faults (PC and cycle included) bit-identical to the reference
+// engine's, which the differential tests assert.
 //
 // Rare events leave the fast path without breaking that identity:
 //   - A fault inside a body backs out the block's static accounting and
 //     re-charges the executed prefix instruction by instruction
-//     (accountPrefix), so the fault carries the same cycle count the
-//     fused loop would report.
-//   - A fault inside a delay slot reproduces the fused loop's state at
-//     that point: branch and executed slots counted, pending-branch
+//     (accountPrefix), so the fault carries the reference engine's cycle
+//     count.
+//   - A fault inside a delay slot reproduces the reference engine's state
+//     at that point: branch and executed slots counted, pending-branch
 //     pipeline restored.
 //   - LDC/STC check failures and ADDTC/SUBTC traps back out the body
 //     accounting the same way, then redirect to the software handler.
@@ -33,10 +32,12 @@ package mipsx
 //     (nested control, checked accesses, SYS — or slots past the end of
 //     the stream) are delegated to the reference stepper (termInterp).
 //
-// The engine transparently falls back to the fused loop when an Observer
-// or Ctx is attached (tracing and cancellation keep working) or when the
-// machine stops mid-pipeline (pending branch or interlock from a prior
-// Step), so it never needs to model resumed pipeline state.
+// MaxCycles is checked at control transfers and trap entries only (see
+// outcome.checkCyc), and Ctx is polled at block dispatch once every
+// cancelCheckCycles simulated cycles. A run with an Observer attached, or
+// one resumed mid-pipeline (pending branch or interlock from a prior
+// Step), delegates to RunReference, so the engine never models resumed
+// pipeline state.
 
 import (
 	"math"
@@ -44,14 +45,17 @@ import (
 	"sync/atomic"
 )
 
-// RunTranslated executes until HALT, a fault, a Lisp runtime error, or
-// MaxCycles, using the translated-block cache shared across all machines
-// running the same Program.
-func (m *Machine) RunTranslated() error {
-	if m.Obs != nil || m.Ctx != nil || m.pendCount != 0 || m.pendSquash ||
-		m.lastLoadReg != RZero {
+// Run executes until HALT, a fault, a Lisp runtime error, MaxCycles, or
+// cancellation of Ctx, using the translated-block cache shared across all
+// machines running the same Program. It checks MaxCycles only right after
+// dispatching a control transfer (after its two delay slots when both are
+// NOPs) and after entering or returning from a trap handler, so a runaway
+// run overshoots the limit by at most one straight-line run of code; the
+// native engine stops at exactly the same point.
+func (m *Machine) Run() error {
+	if m.Obs != nil || m.pendCount != 0 || m.pendSquash || m.lastLoadReg != RZero {
 		m.Trans.Fallbacks++
-		return m.Run()
+		return m.RunReference()
 	}
 	m.Ran = EngineTranslated
 	p := m.Prog
@@ -80,6 +84,15 @@ func (m *Machine) RunTranslated() error {
 	cycles := st.Cycles
 	instrs := st.Instrs
 
+	// Cancellation: with a nil Ctx the next-poll threshold is unreachable,
+	// so the poll at block dispatch is one compare that never fires.
+	ctx := m.Ctx
+	nextCancel := ^uint64(0)
+	if ctx != nil {
+		nextCancel = cycles // poll before the first block
+	}
+	var cancelErr error
+
 	if len(m.execCounts) < len(dec) {
 		m.execCounts = make([]uint64, len(dec))
 	}
@@ -89,7 +102,7 @@ func (m *Machine) RunTranslated() error {
 	bctr := m.bctr
 
 	// Pipeline state reconstructed only on MaxCycles faults, so a
-	// subsequent inspection sees exactly what the fused loop would leave.
+	// subsequent inspection sees the machine stopped at its limit check.
 	pendTarget, pendCount, pendSquash := -1, 0, false
 	var squashed uint64
 	var failf string
@@ -116,6 +129,14 @@ func (m *Machine) RunTranslated() error {
 
 loop:
 	for {
+		// Every iteration starts at a block boundary with no branch
+		// pending, so a canceled run stops in a resumable state.
+		if cycles >= nextCancel {
+			if cancelErr = ctx.Err(); cancelErr != nil {
+				break loop
+			}
+			nextCancel = cycles + cancelCheckCycles
+		}
 		if b == nil {
 			b, trans = p.blockAt(pc)
 			if b == nil {
@@ -271,7 +292,7 @@ loop:
 				if uint8((v>>tagShift)&tagMask) != s.tag {
 					// Tag mismatch: back out the static block accounting,
 					// re-charge the executed prefix, then enter the
-					// type-error path exactly as the fused loop does.
+					// type-error path exactly as the reference engine does.
 					// (LDC/STC never appear in delay slots — see slotSimple —
 					// so this is always a body step.)
 					bc.body--
@@ -338,7 +359,7 @@ loop:
 					if viol {
 						// Granule mismatch: back out the static block
 						// accounting, re-charge the executed prefix, then enter
-						// the memtag-error path exactly as the fused loop does.
+						// the memtag-error path exactly as the reference engine does.
 						// (LDM/STM never appear in delay slots — see slotSimple —
 						// so this is always a body step.)
 						bc.body--
@@ -394,9 +415,10 @@ loop:
 					s64 != int64(int32(res)) || !isIntItem(res) {
 					// ADDTC/SUBTC never appear in delay slots (slotSimple),
 					// so this is always a body step; no pending branch is
-					// possible here, so the fused loop's trap-in-delay-slot
-					// fault cannot occur. s.tag carries the original rd (rd
-					// itself went through the zero-destination remap).
+					// possible here, so the reference engine's
+					// trap-in-delay-slot fault cannot occur. s.tag carries
+					// the original rd (rd itself went through the
+					// zero-destination remap).
 					bc.body--
 					cycles = m.accountPrefix(int(b.start), int(s.off), cycles-b.bodyCyc)
 					if m.HW.TrapHandler < 0 {
@@ -902,8 +924,8 @@ loop:
 				st.GCs++
 				st.GCWords += uint64(r[RRet])
 			case SysTrapReturn:
-				// No pending branch is possible here, so the fused loop's
-				// trap-return-in-delay-slot fault cannot occur.
+				// No pending branch is possible here, so the reference
+				// engine's trap-return-in-delay-slot fault cannot occur.
 				rd := mem[TrapRdAddr>>2]
 				if rd >= 32 {
 					pc = int(t.pc)
@@ -975,9 +997,9 @@ loop:
 				o = &t.taken
 			}
 			if maxCycles != 0 && cycles+o.checkCyc > maxCycles {
-				// Reconstruct the exact machine state the fused loop has at
-				// its limit check: branch dispatched (and NOP slots
-				// consumed), delay slots still pending otherwise.
+				// Reconstruct the machine state at the limit check: branch
+				// dispatched (and NOP slots consumed), delay slots still
+				// pending otherwise.
 				counts[t.pc]++
 				cycles += o.checkCyc
 				if t.slotsNop {
@@ -1165,8 +1187,8 @@ loop:
 			st.Cycles, st.Instrs = cycles, instrs
 			err := m.Step()
 			if err == nil && maxCycles != 0 && st.Cycles > maxCycles {
-				// The fused loop checks the limit right after dispatching
-				// the transfer.
+				// The limit is checked right after dispatching the
+				// transfer, as for inline terminators.
 				failf, failargs = "cycle limit %d exceeded", []any{maxCycles}
 			}
 			if err == nil && failf == "" {
@@ -1189,7 +1211,7 @@ loop:
 				break loop
 			}
 			// Consume a trailing load interlock left by a slot, exactly as
-			// the fused loop does on entry.
+			// the reference engine's next Step would.
 			if m.lastLoadReg != RZero {
 				if !pendSquash && uint(pc) < uint(len(dec)) &&
 					dec[pc].readMask&(1<<m.lastLoadReg) != 0 {
@@ -1210,7 +1232,7 @@ loop:
 
 stepFault:
 	if inSlots {
-		// A delay slot faulted: reproduce the fused loop's exact state —
+		// A delay slot faulted: reproduce the reference engine's state —
 		// the branch and every executed slot counted and charged, the
 		// pending-branch pipeline restored. The outcome's static accounting
 		// has not been applied on this path.
@@ -1228,8 +1250,8 @@ stepFault:
 			} else {
 				counts[t.pc+2]++
 				// The slot-1 load's interlock against slot 2 was charged
-				// when slot 1 executed in the fused loop; reproduce it live
-				// since the static outcome is not applied on this path.
+				// when slot 2 issued; reproduce it live since the static
+				// outcome is not applied on this path.
 				if s1.op.IsLoad() && s2.readMask&s1.wmask != 0 {
 					cycles++
 					st.Stalls++
@@ -1249,8 +1271,8 @@ stepFault:
 	}
 	// A body instruction faulted: back out the block's static accounting
 	// and re-charge the executed prefix (including the faulting
-	// instruction) one instruction at a time, reproducing the fused loop's
-	// cycle count and execution counts at the fault.
+	// instruction) one instruction at a time, reproducing the reference
+	// engine's cycle count and execution counts at the fault.
 	bc.body--
 	cycles = m.accountPrefix(int(b.start), fpc, cycles-b.bodyCyc)
 	pc = fpc
@@ -1266,6 +1288,9 @@ flush:
 	instrs = m.expandCounts(counts, instrs, squashed)
 	st.Cycles, st.Instrs = cycles, instrs
 
+	if cancelErr != nil {
+		return &Canceled{Cycle: cycles, Err: cancelErr}
+	}
 	if failErr != nil {
 		return failErr
 	}
@@ -1289,8 +1314,8 @@ func (b *tblock) coversPC(pc int32) bool {
 // accountPrefix re-charges instructions [start, j] one at a time after a
 // block body bailed out mid-flight: execution counts, per-instruction
 // cycles, and the load interlock between adjacent prefix instructions
-// (never a stall from the bailing instruction itself — the fused loop
-// charges a load's stall only after the load succeeds). base is the cycle
+// (never a stall from the bailing instruction itself — a load's stall is
+// charged only when its successor issues). base is the cycle
 // count before the block was entered; the new total is returned.
 func (m *Machine) accountPrefix(start, j int, base uint64) uint64 {
 	dec := m.Prog.dec

@@ -35,22 +35,10 @@ func TestTranslatedDelaySlotLeader(t *testing.T) {
 		t.Errorf("loop counter = %d, want 8", m.Regs[10])
 	}
 	if m.Trans.Fallbacks != 0 {
-		// runEngines runs translated without observer/ctx; it must not
-		// have fallen back (this field is only set on the translated
-		// machine, which runEngines does not return — assert via a direct
-		// run instead).
-		t.Errorf("unexpected fallback")
+		t.Errorf("translated engine fell back to the reference engine")
 	}
-	tm := NewMachine(p, 256, HWConfig{TrapHandler: -1, CheckFailHandler: -1})
-	tm.MaxCycles = 1_000_000
-	if err := tm.RunTranslated(); err != nil {
-		t.Fatal(err)
-	}
-	if tm.Trans.Fallbacks != 0 {
-		t.Errorf("translated engine fell back to the fused loop")
-	}
-	if tm.Trans.BlockRuns == 0 || tm.Trans.ChainHits == 0 {
-		t.Errorf("expected block executions and chain hits, got %+v", tm.Trans)
+	if m.Trans.BlockRuns == 0 || m.Trans.ChainHits == 0 {
+		t.Errorf("expected block executions and chain hits, got %+v", m.Trans)
 	}
 }
 
@@ -89,7 +77,7 @@ func TestTranslatedSuperinstructions(t *testing.T) {
 
 	tm := NewMachine(p, 4096, HWConfig{TagShift: 27, TagMask: 31, TrapHandler: -1, CheckFailHandler: -1})
 	tm.MaxCycles = 1_000_000
-	if err := tm.RunTranslated(); err != nil {
+	if err := tm.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if tm.Trans.FusedSteps == 0 {
@@ -101,8 +89,8 @@ func TestTranslatedSuperinstructions(t *testing.T) {
 }
 
 // TestTranslatedFallback asserts the translated engine transparently
-// delegates to the fused loop when an Observer is attached and when the
-// machine stopped mid-pipeline after a single Step.
+// delegates to the reference engine when an Observer is attached and when
+// the machine stopped mid-pipeline after a single Step.
 func TestTranslatedFallback(t *testing.T) {
 	a := NewAsm()
 	main := a.NewLabel("main")
@@ -118,7 +106,7 @@ func TestTranslatedFallback(t *testing.T) {
 
 	m := NewMachine(p, 64, HWConfig{TrapHandler: -1, CheckFailHandler: -1})
 	m.Obs = noopObs{}
-	if err := m.RunTranslated(); err != nil {
+	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if m.Trans.Fallbacks != 1 {
@@ -147,7 +135,7 @@ func TestTranslatedFallback(t *testing.T) {
 	if err := m2.Step(); err != nil { // steps the JAL, leaving slots pending
 		t.Fatal(err)
 	}
-	if err := m2.RunTranslated(); err != nil {
+	if err := m2.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if m2.Trans.Fallbacks != 1 {
@@ -190,7 +178,7 @@ func TestTranslatedSharedCache(t *testing.T) {
 		go func() {
 			m := NewMachine(p, 64, HWConfig{TrapHandler: -1, CheckFailHandler: -1})
 			m.MaxCycles = 1_000_000
-			if err := m.RunTranslated(); err != nil {
+			if err := m.Run(); err != nil {
 				t.Error(err)
 			}
 			done <- m
@@ -239,20 +227,19 @@ func TestTranslatedZeroAllocSteadyState(t *testing.T) {
 	// Warm the shared caches (predecode + translation).
 	warm := NewMachine(p, 1024, HWConfig{TrapHandler: -1, CheckFailHandler: -1})
 	warm.MaxCycles = 10_000_000
-	if err := warm.RunTranslated(); err != nil {
+	if err := warm.Run(); err != nil {
 		t.Fatal(err)
 	}
 
 	const runs = 5
 	machines := make([]*Machine, runs+1)
 	for i := range machines {
-		// Pre-size the per-pc counter slices outside the measured region,
-		// mirroring what the fused zero-alloc test does with execCounts: a
+		// Pre-size the per-block counters outside the measured region: a
 		// throwaway run sizes them, and a fresh machine inherits them (they
 		// are flushed back to zero on every exit).
 		sizer := NewMachine(p, 1024, HWConfig{TrapHandler: -1, CheckFailHandler: -1})
 		sizer.MaxCycles = 10_000_000
-		if err := sizer.RunTranslated(); err != nil {
+		if err := sizer.Run(); err != nil {
 			t.Fatal(err)
 		}
 		machines[i] = NewMachine(p, 1024, HWConfig{TrapHandler: -1, CheckFailHandler: -1})
@@ -263,7 +250,7 @@ func TestTranslatedZeroAllocSteadyState(t *testing.T) {
 	allocs := testing.AllocsPerRun(runs, func() {
 		m := machines[next]
 		next++
-		if err := m.RunTranslated(); err != nil {
+		if err := m.Run(); err != nil {
 			t.Fatal(err)
 		}
 	})

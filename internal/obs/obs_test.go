@@ -141,7 +141,7 @@ func TestRegistry(t *testing.T) {
 		s.Counters["gc_words_total"] != 64 {
 		t.Errorf("run counters = %v", s.Counters)
 	}
-	if s.Counters["cycles_total/boyer/high5+check"] != 1000 {
+	if s.Counters[`cycles_total{program="boyer",config="high5+check"}`] != 1000 {
 		t.Errorf("per-run counter missing: %v", s.Counters)
 	}
 	if s.Counters["native_blocks_compiled_total"] != 4 ||

@@ -10,15 +10,9 @@ import (
 
 // Prometheus text-format (v0.0.4) exposition for a Snapshot.
 //
-// Registry keys carry labels in one of two spellings, both rendered as
-// proper Prometheus labels here:
-//
-//   - explicit: `run_phase_seconds{engine="native",phase="execute"}` —
-//     the base name and label set pass through verbatim;
-//   - slash-suffixed (the original counter convention):
-//     `cycles_total/boyer/high5+check` — the base name selects label
-//     names from slashLabels (falling back to a single "key" label) and
-//     the remaining segments become the values.
+// Registry keys carry their labels explicitly, as Labeled composes them:
+// `run_phase_seconds{engine="native",phase="execute"}` — the base name and
+// label set pass through verbatim.
 //
 // Histograms emit the conventional `_bucket` (cumulative, with `le`),
 // `_sum` and `_count` series. Families are emitted in sorted order with
@@ -27,16 +21,6 @@ import (
 // PromContentType is the Content-Type of the exposition format written
 // by WritePrometheus.
 const PromContentType = "text/plain; version=0.0.4; charset=utf-8"
-
-// slashLabels names the label keys for slash-suffixed counter families.
-// A family not listed here gets a single "key" label holding the whole
-// suffix.
-var slashLabels = map[string][]string{
-	"cycles_total":         {"program", "config"},
-	"http_requests_total":  {"route"},
-	"http_responses_total": {"code"},
-	"runs_engine_total":    {"engine"},
-}
 
 // Labeled composes a registry key carrying an explicit label set:
 // Labeled("run_phase_seconds", "engine", "native", "phase", "execute")
@@ -61,8 +45,8 @@ func Labeled(base string, kv ...string) string {
 }
 
 // FamilyName reduces a registry key to its Prometheus family name: the
-// sanitized base with any label block or slash suffix stripped. The
-// metric-name golden test pins these.
+// sanitized base with any label block stripped. The metric-name golden
+// test pins these.
 func FamilyName(key string) string { return splitKey(key).family }
 
 // promSeries is one sample series: a family base name plus a rendered
@@ -77,28 +61,6 @@ type promSeries struct {
 func splitKey(key string) promSeries {
 	if i := strings.IndexByte(key, '{'); i >= 0 && strings.HasSuffix(key, "}") {
 		return promSeries{family: sanitizeName(key[:i]), labels: key[i:]}
-	}
-	if i := strings.IndexByte(key, '/'); i >= 0 {
-		base, rest := key[:i], key[i+1:]
-		names, ok := slashLabels[base]
-		if !ok {
-			names = []string{"key"}
-		}
-		parts := strings.SplitN(rest, "/", len(names))
-		var b strings.Builder
-		b.WriteByte('{')
-		for j, part := range parts {
-			if j > 0 {
-				b.WriteByte(',')
-			}
-			name := "key"
-			if j < len(names) {
-				name = names[j]
-			}
-			fmt.Fprintf(&b, "%s=%q", name, escapeLabelValue(part))
-		}
-		b.WriteByte('}')
-		return promSeries{family: sanitizeName(base), labels: b.String()}
 	}
 	return promSeries{family: sanitizeName(key)}
 }

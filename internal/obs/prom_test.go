@@ -90,9 +90,9 @@ func TestLabeledAndFamilyName(t *testing.T) {
 	}
 	for _, tc := range []struct{ key, family string }{
 		{key, "run_phase_seconds"},
-		{"cycles_total/boyer/high5+check", "cycles_total"},
+		{`cycles_total{program="boyer",config="high5+check"}`, "cycles_total"},
 		{"runs_total", "runs_total"},
-		{"http_requests_total/GET /metrics", "http_requests_total"},
+		{`http_requests_total{route="GET /metrics"}`, "http_requests_total"},
 	} {
 		if got := FamilyName(tc.key); got != tc.family {
 			t.Errorf("FamilyName(%q) = %q, want %q", tc.key, got, tc.family)
@@ -102,12 +102,12 @@ func TestLabeledAndFamilyName(t *testing.T) {
 
 // TestWritePrometheus validates the exposition structurally: every line
 // is a # TYPE comment or a name{labels} value sample, bucket series are
-// cumulative and end at +Inf == _count, and both label spellings render.
+// cumulative and end at +Inf == _count, and labeled keys render as labels.
 func TestWritePrometheus(t *testing.T) {
 	g := NewRegistry()
 	g.Add("runs_total", 3)
-	g.Add("cycles_total/boyer/high5+check", 1234)
-	g.Add("http_responses_total/200", 7)
+	g.Add(Labeled("cycles_total", "program", "boyer", "config", "high5+check"), 1234)
+	g.Add(Labeled("http_responses_total", "code", "200"), 7)
 	g.ObserveBounds(Labeled("run_phase_seconds", "engine", "native", "phase", "execute"),
 		LatencyBounds, 0.003)
 	g.ObserveBounds(Labeled("run_phase_seconds", "engine", "native", "phase", "execute"),

@@ -67,7 +67,7 @@ func (g *Registry) RecordRun(program, config string, st *mipsx.Stats) {
 	g.Add("gc_words_total", st.GCWords)
 	g.Add("tag_cycles_total", st.TagCycles())
 	g.Add("memtag_cycles_total", st.ByCat[mipsx.CatMemtag])
-	g.Add("cycles_total/"+program+"/"+config, st.Cycles)
+	g.Add(Labeled("cycles_total", "program", program, "config", config), st.Cycles)
 	g.Observe("run_cycles", float64(st.Cycles))
 	g.Observe("run_instrs", float64(st.Instrs))
 	g.Observe("run_tag_pct", mipsx.Pct(st.TagCycles(), st.Cycles))
@@ -84,8 +84,8 @@ func (g *Registry) RecordRun(program, config string, st *mipsx.Stats) {
 // RecordTrans folds one machine's translation-engine counters into the
 // registry. Every field is zero when the run used another engine, so
 // callers can record unconditionally; a Fallbacks increment marks a
-// translated run that delegated to the fused loop (observer or context
-// attached) rather than a failure.
+// translated run that delegated to the reference engine (observer
+// attached or machine stopped mid-pipeline) rather than a failure.
 func (g *Registry) RecordTrans(tr *mipsx.TransStats) {
 	g.Add("engine_blocks_translated_total", tr.Translated)
 	g.Add("engine_block_runs_total", tr.BlockRuns)
@@ -98,8 +98,8 @@ func (g *Registry) RecordTrans(tr *mipsx.TransStats) {
 // RecordNative folds one machine's native-engine counters into the
 // registry. As with RecordTrans, every field is zero when the run used
 // another engine; a Fallbacks increment marks a native run that delegated
-// to the fused loop (observer or context attached) or to the translated
-// engine (program compiled for a different hardware config).
+// to the translated engine (context or observer attached, machine stopped
+// mid-pipeline, or program compiled for a different hardware config).
 func (g *Registry) RecordNative(ns *mipsx.NativeStats) {
 	g.Add("native_blocks_compiled_total", ns.Compiled)
 	g.Add("native_block_runs_total", ns.BlockRuns)
@@ -111,7 +111,6 @@ func (g *Registry) RecordNative(ns *mipsx.NativeStats) {
 	g.Add("native_steps_total", ns.Steps)
 	g.Add("native_fused_steps_total", ns.FusedSteps)
 	g.Add("native_elided_checks_total", ns.ElidedChecks)
-	g.Add("native_regcache_spills_total", ns.RegCacheSpills)
 }
 
 // Snapshot is a point-in-time copy of a Registry, shaped for JSON.

@@ -168,23 +168,69 @@ func BenchmarkRunHit(b *testing.B) {
 
 // TestRunReportsEngineThatRan pins truthful engine telemetry: every
 // service request carries a deadline, and the native engine delegates to
-// the fused loop whenever a Ctx is attached, so a native /v1/run counts
-// as requested native, ran fused, and its phases are labelled fused.
+// the translated engine whenever a Ctx is attached, so a native /v1/run
+// counts as requested native, ran translated, and its phases are labelled
+// translated.
 func TestRunReportsEngineThatRan(t *testing.T) {
 	s := New(Options{})
 	if rec := serveRun(s, `{"program":"comp","config":"high5","engine":"native"}`); rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body)
 	}
 	snap := s.Runner().Metrics.Snapshot()
-	if got := snap.Counters["runs_engine_total/native"]; got != 1 {
-		t.Errorf("runs_engine_total/native = %d, want 1", got)
+	if got := snap.Counters[`runs_engine_total{engine="native"}`]; got != 1 {
+		t.Errorf(`runs_engine_total{engine="native"} = %d, want 1`, got)
 	}
-	ran := `runs_engine_ran_total{requested="native",ran="fused"}`
+	ran := `runs_engine_ran_total{requested="native",ran="translated"}`
 	if got := snap.Counters[ran]; got != 1 {
 		t.Errorf("%s = %d, want 1 (counters %v)", ran, got, snap.Counters)
 	}
-	if h, ok := snap.Histograms[`run_phase_seconds{engine="fused",phase="execute"}`]; !ok || h.Count != 1 {
-		t.Errorf("execute phase not recorded under the fused engine (histograms %v)", snap.Histograms)
+	if h, ok := snap.Histograms[`run_phase_seconds{engine="translated",phase="execute"}`]; !ok || h.Count != 1 {
+		t.Errorf("execute phase not recorded under the translated engine (histograms %v)", snap.Histograms)
+	}
+}
+
+// TestDeadlineRunsNameTheirEngine pins the engine that executes under a
+// service deadline on every simulating route. Translated requests run
+// translated with no fallback; so does a search, which always runs the
+// default (translated) engine. Native requests hand off to translated.
+// The deleted "fused" spelling is refused with the valid names.
+func TestDeadlineRunsNameTheirEngine(t *testing.T) {
+	const sweep = `"programs":["comp","trav"],"configs":["high5","low3"]`
+	for _, tc := range []struct {
+		path, body, requested, ran string
+	}{
+		{"/v1/run", `{"program":"comp","config":"high5","engine":"translated"}`, "translated", "translated"},
+		{"/v1/sweep", `{` + sweep + `,"engine":"translated"}`, "translated", "translated"},
+		{"/v1/search", `{"budget":60,"top_k":5,"programs":["comp"],"variants":["check"]}`, "translated", "translated"},
+		{"/v1/run", `{"program":"comp","config":"high5","engine":"native"}`, "native", "translated"},
+		{"/v1/sweep", `{` + sweep + `,"engine":"native"}`, "native", "translated"},
+	} {
+		s := New(Options{})
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(tc.body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s %s: status %d: %s", tc.path, tc.body, rec.Code, rec.Body)
+		}
+		c := s.Runner().Metrics.Snapshot().Counters
+		runs := c[`runs_engine_total{engine="`+tc.requested+`"}`]
+		ran := `runs_engine_ran_total{requested="` + tc.requested + `",ran="` + tc.ran + `"}`
+		if runs == 0 || c[ran] != runs {
+			t.Errorf("%s %s: %s = %d, want every one of %d runs", tc.path, tc.body, ran, c[ran], runs)
+		}
+		if got, ok := c["engine_fallbacks_total"]; !ok || got != 0 {
+			t.Errorf("%s %s: engine_fallbacks_total = %d (recorded %v), want 0", tc.path, tc.body, got, ok)
+		}
+	}
+	for _, path := range []string{"/v1/run", "/v1/sweep"} {
+		body := `{"program":"comp","config":"high5","engine":"fused"}`
+		if path == "/v1/sweep" {
+			body = `{` + sweep + `,"engine":"fused"}`
+		}
+		rec := httptest.NewRecorder()
+		New(Options{}).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "want translated, reference or native") {
+			t.Errorf("%s with engine fused: status %d: %s, want 400 listing the engines", path, rec.Code, rec.Body)
+		}
 	}
 }
 
@@ -219,8 +265,8 @@ func TestRouteLabelsClosed(t *testing.T) {
 	}
 	snap := s.Runner().Metrics.Snapshot()
 	for key, want := range map[string]uint64{
-		"http_requests_total/GET /healthz": 1,
-		"http_requests_total/other":        3,
+		`http_requests_total{route="GET /healthz"}`: 1,
+		`http_requests_total{route="other"}`:        3,
 	} {
 		if got := snap.Counters[key]; got != want {
 			t.Errorf("%s = %d, want %d", key, got, want)

@@ -23,7 +23,7 @@
 // Production shape: admission control over a bounded queue (overload →
 // 429 + a Retry-After computed from queue depth and observed run
 // latency), per-request deadlines propagated through context into the
-// simulator's fused loop, an LRU result cache shared with Prewarm and
+// simulator's translated engine, an LRU result cache shared with Prewarm and
 // keyed on Config.Key, request IDs propagated or minted per request,
 // structured request logs, per-route latency histograms, and graceful
 // drain for SIGTERM (in-flight requests — streaming sweeps included —
@@ -217,13 +217,13 @@ func requestID(r *http.Request) string {
 // routeKeys are the metric keys of one route label, rendered once so a
 // request never formats a series name.
 type routeKeys struct {
-	requests string // http_requests_total/<route>
+	requests string // http_requests_total{route="<route>"}
 	seconds  string // http_request_seconds{route="<route>"}
 }
 
 func newRouteKeys(route string) *routeKeys {
 	return &routeKeys{
-		requests: "http_requests_total/" + route,
+		requests: obs.Labeled("http_requests_total", "route", route),
 		seconds:  obs.Labeled("http_request_seconds", "route", route),
 	}
 }
@@ -242,11 +242,11 @@ func (s *Server) routeOf(r *http.Request) *routeKeys {
 	return otherRoute
 }
 
-// responseKeys holds the http_responses_total/<code> key of every status
+// responseKeys holds the http_responses_total{code="<code>"} key of every status
 // code net/http accepts, rendered once.
 var responseKeys = func() (k [600]string) {
 	for code := 100; code < len(k); code++ {
-		k[code] = "http_responses_total/" + strconv.Itoa(code)
+		k[code] = obs.Labeled("http_responses_total", "code", strconv.Itoa(code))
 	}
 	return k
 }()
@@ -255,7 +255,7 @@ func responsesKey(code int) string {
 	if code >= 100 && code < len(responseKeys) {
 		return responseKeys[code]
 	}
-	return "http_responses_total/" + strconv.Itoa(code)
+	return obs.Labeled("http_responses_total", "code", strconv.Itoa(code))
 }
 
 // ServeHTTP dispatches with request-ID propagation, request logging and

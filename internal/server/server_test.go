@@ -215,11 +215,11 @@ func TestRunEndpoint(t *testing.T) {
 		t.Fatalf("native run status %d: %s", resp.StatusCode, body)
 	}
 	c := counters(t, ts.URL)
-	if c["runs_engine_total/native"] != 1 {
-		t.Errorf("runs_engine_total/native = %d, want 1", c["runs_engine_total/native"])
+	if k := obs.Labeled("runs_engine_total", "engine", "native"); c[k] != 1 {
+		t.Errorf("%s = %d, want 1", k, c[k])
 	}
-	if c["runs_engine_total/"+mipsx.EngineNames[0]] == 0 {
-		t.Errorf("runs_engine_total/%s = 0, want ≥1", mipsx.EngineNames[0])
+	if k := obs.Labeled("runs_engine_total", "engine", mipsx.EngineNames[0]); c[k] == 0 {
+		t.Errorf("%s = 0, want ≥1", k)
 	}
 }
 
@@ -290,7 +290,7 @@ func TestOverloadReturns429(t *testing.T) {
 
 // TestDeadlineStopsSimulationMidRun sends a request whose deadline is far
 // shorter than the simulation: the server must answer 504 quickly, having
-// stopped the fused loop mid-run, and must not cache the partial result.
+// stopped the translated engine mid-run, and must not cache the partial result.
 func TestDeadlineStopsSimulationMidRun(t *testing.T) {
 	s, ts := testServer(t, Options{})
 	start := time.Now()

@@ -265,8 +265,8 @@ func TestMetricsContentNegotiation(t *testing.T) {
 			"# TYPE runs_total counter",
 			"run_phase_seconds_bucket{",
 			// Phases carry the engine that ran: a service request has a
-			// deadline, so the native request above ran on fused.
-			`run_phase_seconds_bucket{engine="fused",phase="execute",le="+Inf"}`,
+			// deadline, so the native request above ran on translated.
+			`run_phase_seconds_bucket{engine="translated",phase="execute",le="+Inf"}`,
 			"http_request_seconds_bucket{",
 			"run_latency_seconds_bucket{",
 		} {
@@ -324,9 +324,9 @@ func TestRequestID(t *testing.T) {
 }
 
 // TestIntrospectEndpoint seeds the runner with background-context runs —
-// the path tagsimd -prewarm takes, where the translated and native
-// engines actually form blocks instead of falling back to the fused loop
-// (the engines delegate when a cancellable context is attached) — then
+// the path tagsimd -prewarm takes, where the native engine actually
+// compiles closures and forms superblocks instead of delegating to the
+// translated engine (it delegates when a cancellable context is attached) — then
 // checks /v1/introspect exposes per-image block formation, run counts
 // and chain-hit numerators for rate computation.
 func TestIntrospectEndpoint(t *testing.T) {
@@ -403,10 +403,6 @@ func TestIntrospectEndpoint(t *testing.T) {
 	}
 	if na.Engine.SBDroppedSteps == 0 {
 		t.Errorf("dataflow pass dropped no steps: %+v", na.Engine)
-	}
-	// Register-cache chains are opt-in and off here.
-	if na.Engine.SBChains != 0 || na.Native.RegCacheSpills != 0 {
-		t.Errorf("unexpected register-cache chains in default build: %+v", na.Engine)
 	}
 }
 

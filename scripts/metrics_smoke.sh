@@ -34,9 +34,9 @@ curl -fsS -X POST "$BASE/v1/run" -d '{"program":"comp","config":"high5"}' >/dev/
 # sweep only covers untagged configs).
 curl -fsS -X POST "$BASE/v1/run" -d '{"program":"comp","config":"high5+memtag"}' >/dev/null
 
-# One native-engine run so the native_* families count real work (they
-# exist at zero for every run, but this exercises superblock formation,
-# elision and the exit-site expansion end to end).
+# One native-engine request (the native_* families exist at zero for
+# every run; a request carries a deadline, so this one runs on the
+# translated engine and counts in native_fallbacks_total).
 curl -fsS -X POST "$BASE/v1/run" -d '{"program":"comp","config":"high5+check","engine":"native"}' >/dev/null
 
 # One bounded scheme search so the search_* families are live.
@@ -77,8 +77,7 @@ for f in "$OUT/metrics.prom" "$OUT/metrics2.prom"; do
     for fam in $(grep '^memtag_\|^run_memtag_' internal/server/testdata/metric_names.golden); do
         grep -q "^# TYPE $fam " "$f" || { echo "missing family $fam in $f"; exit 1; }
     done
-    # And for the native-engine families (superblocks, fusion, elision,
-    # register-cache spills) exercised by the native run above.
+    # And for the native-engine families (superblocks, fusion, elision).
     for fam in $(grep '^native_' internal/server/testdata/metric_names.golden); do
         grep -q "^# TYPE $fam " "$f" || { echo "missing family $fam in $f"; exit 1; }
     done

@@ -65,12 +65,14 @@ bench-smoke:
 	$(GO) run ./cmd/benchjson -smoke -out bench-smoke.txt
 
 # Race-detector pass over the concurrent machinery: the runner cache and
-# single-flight, context cancellation in the engines, and the whole server
-# package. The full core suite (table sweeps) is too slow under -race, so
-# core/mipsx are filtered to the concurrency tests; server runs entirely.
+# single-flight, context cancellation in the engines, machine-memory reuse,
+# and the whole server package. The full core suite (table sweeps) is too
+# slow under -race, so core/mipsx/rt are filtered to the concurrency and
+# reuse tests; server runs entirely.
 .PHONY: race
 race:
 	$(GO) test -race -run 'Concurrent|Parallel|Cancel|Deadline|CacheLRU|Prewarm|SharedCache|Panic' ./internal/core ./internal/mipsx
+	$(GO) test -race -run 'Reuse' ./internal/rt
 	$(GO) test -race ./internal/server
 
 # Short-budget coverage-guided fuzzing over every fuzz target: the

@@ -233,3 +233,66 @@ func TestRunPanicReleasesFlight(t *testing.T) {
 		t.Errorf("runs_total = %d, want 1 (the key ran again)", got)
 	}
 }
+
+// TestConcurrentMachineReuse runs plain and memory-tagged keys of two
+// programs, so machines of several memory sizes, interleaved from several
+// goroutines through one runner. Its one-entry result cache makes nearly
+// every call simulate, so released machine memories are reused across
+// keys, sizes and goroutines. Every result must equal the same key's
+// result from a fresh runner. The pool may drop a released buffer (it
+// does at random under -race), so equality must hold whether or not a
+// buffer was reused.
+func TestConcurrentMachineReuse(t *testing.T) {
+	type runKey struct {
+		p   *programs.Program
+		cfg Config
+	}
+	var keys []runKey
+	for _, name := range []string{"comp", "trav"} {
+		for _, spelling := range []string{"high5", "low3+check", "high5+memtag", "low2+check+memtaghw"} {
+			cfg, err := ParseConfig(spelling)
+			if err != nil {
+				t.Fatal(err)
+			}
+			keys = append(keys, runKey{programs.MustByName(name), cfg})
+		}
+	}
+	want := make([]*Result, len(keys))
+	for i, k := range keys {
+		res, err := NewRunner().Run(k.p, k.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = res
+	}
+
+	r := NewRunner()
+	r.CacheCap = 1
+	engines := []mipsx.Engine{mipsx.EngineTranslated, mipsx.EngineNative}
+	const goroutines, rounds = 4, 2
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for n := 0; n < rounds*len(keys); n++ {
+				i := (n*(2*g+1) + g) % len(keys) // a different order per goroutine
+				k := keys[i]
+				res, err := r.RunEngineCtx(context.Background(), k.p, k.cfg, engines[(n+g)%len(engines)])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if res.Stats != want[i].Stats || res.Value != want[i].Value || res.Output != want[i].Output {
+					t.Errorf("goroutine %d: %s %s differs from a fresh runner's run (cycles %d, want %d; value %s, want %s)",
+						g, k.p.Name, k.cfg, res.Stats.Cycles, want[i].Stats.Cycles, res.Value, want[i].Value)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if runs := r.Metrics.Snapshot().Counters["runs_total"]; runs < uint64(len(keys)) {
+		t.Errorf("runs_total = %d, want at least %d simulations", runs, len(keys))
+	}
+}

@@ -81,9 +81,9 @@ type Result struct {
 	Value   string
 	Output  string
 	// Phases is the timeline of the run that produced this result:
-	// parse/compile (image-cache misses only), execute, the JIT phases
-	// carved out of execute, and stats-flush. Cached replays return the
-	// original run's phases.
+	// parse/compile (image-cache misses only), machine, execute, the JIT
+	// phases carved out of execute, and stats-flush. Cached replays return
+	// the original run's phases.
 	Phases []obs.Span
 
 	// reply is the encoded RunReport served for this result, built on
@@ -378,17 +378,22 @@ func (r *Runner) imageFor(p *programs.Program, cfg Config, key string, tl *obs.T
 }
 
 // runUncached builds and executes one run; key labels errors. Every run
-// carries a phase timeline (parse, compile, translate, native-compile,
-// execute, stats-flush) recorded entirely off the engines' dispatch
-// loops: build phases come from rt.Build's hook, the JIT phases from the
-// program's cumulative compile-time counters delta'd around execute.
+// carries a phase timeline (parse, compile, machine, translate,
+// native-compile, execute, stats-flush) recorded entirely off the engines'
+// dispatch loops: build phases come from rt.Build's hook, the JIT phases
+// from the program's cumulative compile-time counters delta'd around
+// execute. The machine dies with the run, so its memory is released for
+// the next run once the result has been read out of it.
 func (r *Runner) runUncached(ctx context.Context, p *programs.Program, cfg Config, key string, engine mipsx.Engine) (*Result, error) {
 	tl := obs.NewTimeline()
 	img, err := r.imageFor(p, cfg, key, tl)
 	if err != nil {
 		return nil, err
 	}
+	machineStart := time.Now()
 	m := img.NewMachine()
+	tl.Record(obs.PhaseMachine, machineStart, time.Since(machineStart))
+	defer m.Release()
 	m.MaxCycles = r.MaxCycles
 	if ctx != context.Background() {
 		m.Ctx = ctx

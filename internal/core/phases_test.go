@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"repro/internal/mipsx"
@@ -10,10 +11,10 @@ import (
 )
 
 // TestRunPhases pins the per-run phase timeline: an uncached run records
-// build phases (parse, compile), execute, the JIT phases carved out of
-// execute, and the stats flush; the matching run_phase_seconds histograms
-// land in the registry; and a cache hit replays the original phases
-// without re-recording.
+// build phases (parse, compile), machine construction, execute, the JIT
+// phases carved out of execute, and the stats flush; the matching
+// run_phase_seconds histograms land in the registry; and a cache hit
+// replays the original phases without re-recording.
 func TestRunPhases(t *testing.T) {
 	r := NewRunner()
 	p := programs.MustByName("comp")
@@ -31,7 +32,7 @@ func TestRunPhases(t *testing.T) {
 		phases[s.Phase] = s
 	}
 	for _, want := range []string{
-		obs.PhaseParse, obs.PhaseCompile, obs.PhaseExecute,
+		obs.PhaseParse, obs.PhaseCompile, obs.PhaseMachine, obs.PhaseExecute,
 		obs.PhaseTranslate, obs.PhaseStatsFlush,
 	} {
 		s, ok := phases[want]
@@ -52,11 +53,16 @@ func TestRunPhases(t *testing.T) {
 	if pa, co := phases[obs.PhaseParse], phases[obs.PhaseCompile]; co.StartUS < pa.StartUS+pa.DurUS {
 		t.Errorf("compile %+v begins before parse %+v ends", co, pa)
 	}
+	// Machine construction sits between the build and execute.
+	if co, ma, ex := phases[obs.PhaseCompile], phases[obs.PhaseMachine], phases[obs.PhaseExecute]; ma.StartUS < co.StartUS+co.DurUS || ex.StartUS < ma.StartUS+ma.DurUS {
+		t.Errorf("machine %+v not between compile %+v and execute %+v", ma, co, ex)
+	}
 
 	snap := r.Metrics.Snapshot()
 	for _, key := range []string{
 		obs.Labeled("run_phase_seconds", "engine", "translated", "phase", obs.PhaseExecute),
 		obs.Labeled("run_phase_seconds", "engine", "translated", "phase", obs.PhaseParse),
+		obs.Labeled("run_phase_seconds", "engine", "translated", "phase", obs.PhaseMachine),
 		obs.Labeled("run_latency_seconds", "cache", "miss"),
 	} {
 		if h, ok := snap.Histograms[key]; !ok || h.Count == 0 {
@@ -69,7 +75,7 @@ func TestRunPhases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res2.Phases) != len(res.Phases) {
+	if !reflect.DeepEqual(res2.Phases, res.Phases) {
 		t.Errorf("cached result phases %v, want original %v", res2.Phases, res.Phases)
 	}
 	snap = r.Metrics.Snapshot()
@@ -78,5 +84,8 @@ func TestRunPhases(t *testing.T) {
 	}
 	if h := snap.Histograms[obs.Labeled("run_latency_seconds", "cache", "miss")]; h.Count != 1 {
 		t.Errorf("miss latency count %d, want 1", h.Count)
+	}
+	if h := snap.Histograms[obs.Labeled("run_phase_seconds", "engine", "translated", "phase", obs.PhaseMachine)]; h.Count != 1 {
+		t.Errorf("machine phase count %d after a hit, want 1 (hits build no machine)", h.Count)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"sync"
 )
 
 // HWConfig describes the processor variant being simulated: where the tag
@@ -165,6 +166,35 @@ type Machine struct {
 	nregs [256]uint32
 }
 
+// memPool holds machine memories returned by Release, as *[]uint32, for
+// NewMachine to reuse instead of allocating (and faulting in) megabytes
+// of fresh zeroed memory per run.
+var memPool sync.Pool
+
+// newMem returns memWords words of zeroed memory, reusing a released
+// buffer when one large enough is pooled. The slice is cut to exactly
+// memWords so out-of-range accesses fault at the same addresses either way.
+func newMem(memWords int) []uint32 {
+	if p, ok := memPool.Get().(*[]uint32); ok && cap(*p) >= memWords {
+		mem := (*p)[:memWords]
+		clear(mem)
+		return mem
+	}
+	return make([]uint32, memWords)
+}
+
+// Release hands the machine's memory back for reuse by a later NewMachine
+// and sets Mem to nil. Only the owner of a finished machine may call it:
+// nothing may read or run the machine afterwards.
+func (m *Machine) Release() {
+	if m.Mem == nil {
+		return
+	}
+	mem := m.Mem
+	m.Mem = nil
+	memPool.Put(&mem)
+}
+
 // NewMachine creates a machine with memWords words of zeroed memory.
 func NewMachine(prog *Program, memWords int, hw HWConfig) *Machine {
 	if hw.TrapCycles == 0 {
@@ -175,7 +205,7 @@ func NewMachine(prog *Program, memWords int, hw HWConfig) *Machine {
 	}
 	m := &Machine{
 		Prog:       prog,
-		Mem:        make([]uint32, memWords),
+		Mem:        newMem(memWords),
 		PC:         prog.Entry,
 		HW:         hw,
 		pendTarget: -1,

@@ -7,7 +7,8 @@ import (
 )
 
 // Run phase names recorded on a Timeline. The build phases (parse,
-// compile) appear only when the run misses the image cache; the JIT
+// compile) appear only when the run misses the image cache; machine is
+// the construction of the run's machine from the image; the JIT
 // phases (translate, native-compile) are carved out of execute — block
 // translation and closure compilation happen lazily while the engine
 // runs — so their spans share execute's start offset and their durations
@@ -15,6 +16,7 @@ import (
 const (
 	PhaseParse         = "parse"
 	PhaseCompile       = "compile"
+	PhaseMachine       = "machine"
 	PhaseTranslate     = "translate"
 	PhaseNativeCompile = "native-compile"
 	PhaseExecute       = "execute"

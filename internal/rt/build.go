@@ -34,12 +34,18 @@ type Image struct {
 	HW       tags.HW
 	Checking bool
 
-	memTemplate []uint32
-	memWords    int
-	heapALo     uint32
-	heapWords   int
-	stackBase   uint32
-	pool        *constPool
+	// initWords is the initialized prefix of memory, [0, static end):
+	// the trap page, the globals and the static area with its patched
+	// function cells. Everything above it starts zero, except under
+	// memory tagging the shadow colors of the staticGranules granules
+	// below the heap, which start 1.
+	initWords      []uint32
+	staticGranules int
+	memWords       int
+	heapALo        uint32
+	heapWords      int
+	stackBase      uint32
+	pool           *constPool
 
 	// Units holds Table 3 statistics per compiled unit ("sys", "lib",
 	// "program").
@@ -191,7 +197,8 @@ func Build(programSrc string, opts BuildOptions) (*Image, error) {
 	img.Procedures = c.Funcs
 
 	// Memory plan: static | semispace A | semispace B | stack, followed by
-	// the shadow color table when memory tagging is on.
+	// the shadow color table when memory tagging is on. The image keeps
+	// only the initialized static prefix; NewMachine zeroes the rest.
 	staticEnd := pool.End()
 	heapA := (staticEnd + 7) &^ 7
 	if opts.HW.Memtag {
@@ -221,7 +228,7 @@ func Build(programSrc string, opts BuildOptions) (*Image, error) {
 	img.heapWords = opts.HeapWords
 	img.stackBase = stackBase
 
-	mem := make([]uint32, img.memWords)
+	mem := make([]uint32, staticEnd/4)
 	copy(mem, pool.words)
 	setGlob := func(i int, v uint32) { mem[layout.GlobAddr(i)/4] = v }
 	setGlob(layout.GlobFromLo, heapA)
@@ -235,9 +242,8 @@ func Build(programSrc string, opts BuildOptions) (*Image, error) {
 		// Color the trap page, globals and the whole static budget 1 so
 		// every static-object access passes the granule check; heap granules
 		// start at 0 (unallocated) and the stack is never granule-checked.
-		for gi := uint32(0); gi < heapA>>geom.GranuleLog2; gi++ {
-			mem[(geom.ShadowBase+(gi<<2))/4] = 1
-		}
+		// NewMachine writes these shadow words.
+		img.staticGranules = int(heapA >> geom.GranuleLog2)
 		setGlob(layout.GlobMemtagColor, 1)
 	}
 
@@ -253,7 +259,7 @@ func Build(programSrc string, opts BuildOptions) (*Image, error) {
 		}
 		mem[addr/4+4] = scheme.MakePtr(tags.TCode, uint32(entry*4))
 	}
-	img.memTemplate = mem
+	img.initWords = mem
 	phase("compile", time.Since(phaseStart))
 	return img, nil
 }
@@ -342,8 +348,9 @@ const errWrongTypeHW = mipsx.ErrWrongTypeHW
 // tagging (the layout must be known before compilation).
 const memtagStaticBudget = 1 << 19
 
-// NewMachine instantiates a fresh machine for the image: memory template
-// copied, registers initialized, trap vectors wired.
+// NewMachine instantiates a fresh machine for the image: initialized
+// memory words copied over zeroed memory, static granules colored,
+// registers initialized, trap vectors wired.
 func (img *Image) NewMachine() *mipsx.Machine {
 	hw := tags.HWConfig(img.Scheme, img.HW)
 	if img.HW.ArithTrap {
@@ -358,7 +365,11 @@ func (img *Image) NewMachine() *mipsx.Machine {
 		hw.MemtagFailHandler = img.Prog.Labels["sys:memtagfail-glue"]
 	}
 	m := mipsx.NewMachine(img.Prog, img.memWords, hw)
-	copy(m.Mem, img.memTemplate)
+	copy(m.Mem, img.initWords)
+	shadow := m.Mem[img.stackBase/4:][:img.staticGranules]
+	for i := range shadow {
+		shadow[i] = 1
+	}
 	m.Regs[mipsx.RNil] = img.pool.nilItem
 	m.Regs[mipsx.RMask] = img.Scheme.PtrMaskConst()
 	m.Regs[mipsx.RHP] = img.heapALo
